@@ -32,8 +32,9 @@ from .experiment import (
     run_density,
     specialize,
 )
-from .gf import UniPoly, field, is_prime
+from .gf import FieldSizeError, UniPoly, field, is_prime
 from .surface import (
+    BudgetExceeded,
     CubicForm,
     NOT_SMOOTH,
     NotSmoothOrBadReduction,
@@ -319,7 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (BudgetExceeded, FieldSizeError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

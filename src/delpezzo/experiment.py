@@ -144,7 +144,7 @@ class ExperimentConfig:
     #: a sample with fewer usable places is reported as skipped
     min_usable_places: int = 3
     point_budget: int = 300_000
-    # nominal pattern count; the staged scan's real cost is ~(field size)^2,
+    # nominal pattern count; the line scan's real cost is ~(field size)^2,
     # so this reaches extensions of size 512 at interactive speed
     line_budget: int = 10**11
     seed: str = "0"
@@ -180,10 +180,8 @@ class SampleOutcome:
     bad_places: list[str]
     h1: Certificate | None
     exclusion: Certificate | None
-
-    @property
-    def skipped(self) -> bool:
-        return not self.used_places
+    #: fewer usable places than the config's min_usable_places
+    skipped: bool
 
 
 def places_up_to(base: FieldSpec, max_degree: int) -> list[UniPoly]:
@@ -244,7 +242,8 @@ def analyze_sample(
             and exclusion.kind == NOT_IN_LISTED_SUBGROUPS
         ):
             break
-    return SampleOutcome(index, used, bad, h1, exclusion)
+    skipped = len(used) < config.min_usable_places
+    return SampleOutcome(index, used, bad, h1, exclusion, skipped)
 
 
 def run_density(config: ExperimentConfig) -> dict:
@@ -270,7 +269,7 @@ def run_density(config: ExperimentConfig) -> dict:
             rng = CounterRng(f"{config.seed}/q{config.q}/D{degree_bound}/n{index}")
             form = sample_form(base, degree_bound, rng)
             outcome = analyze_sample(form, places, config, table, index)
-            if len(outcome.used_places) < config.min_usable_places:
+            if outcome.skipped:
                 tallies["skipped"] += 1
                 continue
             kind = outcome.h1.kind

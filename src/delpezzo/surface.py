@@ -1,14 +1,18 @@
 """Cubic surfaces over finite fields: points, lines, traces, and Frobenius data.
 
 A surface is a nonzero quaternary cubic form, 20 coefficients in graded-lex
-monomial order with x > y > z > w.  Point counting and line enumeration are
-vectorized over integer-encoded field elements (discrete-log tables for
-multiplication, coordinate tables for addition), which keeps fields up to a
-few thousand elements at interactive speed.
+monomial order with x > y > z > w.  Scans are vectorized over integer-encoded
+field elements in log domain: a term c x^a y^b z^c w^d is one gather
+EXP[LOG c + a LOG x + b LOG y + ...] from an exponent table that is zero past
+the sentinel LOG 0, and terms add by XOR in characteristic 2, in prime-field
+coordinates otherwise.  Point scans take F as a cubic in w whose coefficients
+are evaluated once per chunk of (x, y, z) rows.
 
-Lines are canonical 2x4 reduced row-echelon matrices; a line lies on the
-surface when all four coefficients of the restricted binary cubic vanish (an
-exact polynomial identity, so small fields are never a soundness issue).
+Lines are canonical 2x4 reduced row-echelon matrices.  The line through rows
+A and B lies on the surface when the four coefficients of F(sA + tB) vanish:
+F(A), F(B) and the polars sum_v B_v dF/dv(A), sum_v A_v dF/dv(B), an exact
+identity in every characteristic, so the test is exact over small fields too.
+Two lines meet when the Plucker pairing of their coordinates vanishes.
 Smoothness is certified operationally: a singular point over a small extension
 refutes it, and exactly 27 lines over some extension whose intersection graph
 matches the degree-3 incidence graph certifies it.
@@ -51,17 +55,6 @@ class BudgetExceeded(RuntimeError):
     """The operation would overrun the configured work budget."""
 
 
-def _monomial_factors(e: tuple[int, int, int, int]) -> tuple[int, int, int]:
-    """The three variable indices whose product is the monomial."""
-    out = []
-    for v, mult in enumerate(e):
-        out.extend([v] * mult)
-    return tuple(out)
-
-
-_FACTORS = tuple(_monomial_factors(e) for e in MONOMIALS)
-
-
 # -- vectorized field arithmetic ---------------------------------------------
 
 
@@ -86,7 +79,12 @@ def _primitive_element(fs: FieldSpec) -> Element:
 
 
 class _Tables:
-    """Branch-free vectorized arithmetic on integer-encoded field elements."""
+    """Branch-free vectorized arithmetic on integer-encoded field elements.
+
+    A product of up to four factors is EXP[sum of their LOGs]: LOG[0] is a
+    sentinel above every sum of four nonzero logs (at most 4(q-2)), and EXP is
+    zero from the sentinel on, through four sentinels plus q, so any product
+    with a zero factor lands in the zero pad."""
 
     def __init__(self, fs: FieldSpec):
         if fs.order > TABLE_FIELD_CAP:
@@ -95,16 +93,17 @@ class _Tables:
         q = fs.order
         self.q = q
         gen = _primitive_element(fs)
-        # LOG[0] = 2(q-1) so that any product with zero lands in the zero pad
-        exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
-        log = np.full(q, 2 * (q - 1), dtype=np.int64)
+        zero_log = 4 * (q - 1)
+        cycle = np.zeros(q - 1, dtype=np.int64)
+        log = np.full(q, zero_log, dtype=np.int64)
         e = fs.one()
         for t in range(q - 1):
             enc = fs.to_int(e)
-            exp[t] = enc
-            exp[t + (q - 1)] = enc
+            cycle[t] = enc
             log[enc] = t
             e = fs.mul(e, gen)
+        exp = np.zeros(4 * zero_log + q, dtype=np.int64)
+        exp[:zero_log] = np.tile(cycle, 4)
         self.EXP = exp
         self.LOG = log
         if fs.p == 2:
@@ -122,14 +121,6 @@ class _Tables:
         if self.COORDS is None:
             return np.bitwise_xor(a, b)
         return ((self.COORDS[a] + self.COORDS[b]) % self.fs.p) @ self.PPOW
-
-    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        if e == 0:
-            return np.ones_like(a)
-        out = a
-        for _ in range(e - 1):
-            out = self.mul(out, a)
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -173,12 +164,13 @@ class CubicForm:
     def evaluate(self, point: tuple[Element, Element, Element, Element]) -> Element:
         fs = self.field
         acc = fs.zero()
-        for c, factors in zip(self.coeffs, _FACTORS):
+        for c, e in zip(self.coeffs, MONOMIALS):
             if fs.is_zero(c):
                 continue
             term = c
-            for v in factors:
-                term = fs.mul(term, point[v])
+            for v, mult in enumerate(e):
+                for _ in range(mult):
+                    term = fs.mul(term, point[v])
             acc = fs.add(acc, term)
         return acc
 
@@ -200,7 +192,7 @@ class CubicForm:
             for c, e in zip(self.coeffs, MONOMIALS):
                 if e[v] == 0 or fs.is_zero(c):
                     continue
-                scaled = fs.mul(c, fs.scalar(e[v]))
+                scaled = tuple(e[v] * x % fs.p for x in c)
                 if fs.is_zero(scaled):
                     continue
                 lowered = tuple(x - 1 if i == v else x for i, x in enumerate(e))
@@ -209,28 +201,34 @@ class CubicForm:
         return out
 
 
-def _eval_terms_batch(
-    tab: _Tables,
-    terms: list[tuple[int, tuple[int, ...]]],
-    coords: list[np.ndarray],
-) -> np.ndarray:
-    """Evaluate sum of c * prod coords[v]^e_v on encoded coordinate arrays."""
-    shape = np.broadcast_shapes(*(c.shape for c in coords))
-    acc = np.zeros(shape, dtype=np.int64)
-    powers: dict[tuple[int, int], np.ndarray] = {}
+def _eval_terms_batch(tab: _Tables, terms: list[tuple[int, tuple[int, ...]]], coords: list) -> np.ndarray:
+    """Evaluate sum of c * prod coords[v]^e_v; each coordinate is an encoded
+    scalar or a 1-D array, all arrays of one length (length 1 if none).
+    The coefficient and the scalar coordinates fold into an offset into EXP
+    (one at the zero sentinel skips the term); the array logs add to it."""
+    shape = np.broadcast_shapes((1,), *(np.shape(c) for c in coords))
+    zero_log = int(tab.LOG[0])
+    logs = [tab.LOG[c] if np.ndim(c) else int(tab.LOG[c]) for c in coords]
+    char2 = tab.COORDS is None
+    acc = np.zeros(shape if char2 else shape + (tab.fs.k,), dtype=np.int64)
     for enc, e in terms:
-        if enc == 0:
+        offset = int(tab.LOG[enc])
+        part = 0
+        for log, mult in zip(logs, e):
+            if isinstance(log, int):
+                offset += mult * log
+            elif mult:
+                part = part + (log if mult == 1 else mult * log)
+        if offset >= zero_log:
             continue
-        term = np.full(shape, enc, dtype=np.int64)
-        for v, mult in enumerate(e):
-            if mult == 0:
-                continue
-            key = (v, mult)
-            if key not in powers:
-                powers[key] = tab.pow(coords[v], mult)
-            term = tab.mul(term, np.broadcast_to(powers[key], shape))
-        acc = tab.add(acc, term)
-    return acc
+        term = tab.EXP[offset:][part]
+        if char2:
+            acc ^= term
+        else:
+            acc += tab.COORDS[term]
+    if char2:
+        return acc
+    return (acc % tab.fs.p) @ tab.PPOW
 
 
 def _form_terms(form: CubicForm) -> list[tuple[int, tuple[int, ...]]]:
@@ -242,24 +240,65 @@ def _form_terms(form: CubicForm) -> list[tuple[int, tuple[int, ...]]]:
     ]
 
 
-def _strata(q: int, zw: tuple[np.ndarray, np.ndarray]):
-    """The four affine strata of P^3 as (X, Y, Z, W) encoded-coordinate arrays;
-    the first stratum is yielded in q chunks of size q^2."""
-    z, w = zw
+def _gradient_terms(form: CubicForm) -> list[list[tuple[int, tuple[int, ...]]]]:
+    fs = form.field
+    return [[(fs.to_int(c), e) for c, e in terms_v] for terms_v in form.gradient()]
+
+
+def _eval_grid(tab: _Tables, terms, head: list, w: np.ndarray) -> np.ndarray:
+    """The form at every pair of a head row (encoded X, Y, Z: scalars or
+    arrays of one length) and a W in `w`, as a (rows, len(w)) array.
+
+    F = sum_k W^k G_k(X, Y, Z): the 20 terms are evaluated on the rows only,
+    and each of the four powers of W costs one gather on the whole grid."""
     one = np.int64(1)
-    zero = np.int64(0)
-    for y_enc in range(q):
-        yield (one, np.int64(y_enc), z, w)
-    yield (zero, one, z, w)
-    line = np.arange(q, dtype=np.int64)
-    yield (zero, zero, one, line)
-    yield (zero, zero, zero, one)
+    log_w = tab.LOG[w][None, :]
+    acc = np.zeros((1, len(w)), dtype=np.int64)
+    for k in range(4):
+        terms_k = [t for t in terms if t[1][3] == k]
+        if terms_k:
+            g = _eval_terms_batch(tab, terms_k, head + [one])[:, None]
+            acc = tab.add(acc, g if k == 0 else tab.EXP[tab.LOG[g] + k * log_w])
+    return acc
 
 
-def _zw_grid(q: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.arange(q, dtype=np.int64)
-    z, w = np.meshgrid(rng, rng, indexing="ij")
-    return z.ravel(), w.ravel()
+def _zeros(tab: _Tables, terms, chunks) -> list[np.ndarray]:
+    """Encoded (X, Y, Z, W) arrays of the points of the (head, w) chunks
+    where the form vanishes, in order."""
+    parts = []
+    for head, w in chunks:
+        values = _eval_grid(tab, terms, head, w)
+        rows, cols = np.nonzero(values == 0)
+        parts.append([np.broadcast_to(c, values.shape[:1])[rows] for c in head] + [w[cols]])
+    return [np.concatenate(c) for c in zip(*parts)]
+
+
+#: points per evaluation chunk of the scans (2 MB per int64 array)
+POINT_CHUNK = 1 << 18
+
+
+def _grid(q: int, pivot: int, free):
+    """The points with coordinate `pivot` 1, the `free` ones ranging over the
+    field in counter order and the others 0, in chunks of about POINT_CHUNK
+    points.  A chunk is (head, w): every pair of a head row (encoded X, Y, Z:
+    scalars or arrays of one length) and a W in `w`, head-major."""
+    head_free = [col for col in free if col < 3]
+    w = np.arange(q, dtype=np.int64) if 3 in free else np.full(1, int(pivot == 3), dtype=np.int64)
+    size = q ** len(head_free)
+    rows = max(1, POINT_CHUNK // len(w))
+    for lo in range(0, size, rows):
+        idx = np.arange(lo, min(lo + rows, size), dtype=np.int64)
+        head: list = [np.int64(v == pivot) for v in range(3)]
+        for n, col in enumerate(head_free):
+            head[col] = (idx // q ** (len(head_free) - 1 - n)) % q
+        yield head, w
+
+
+def _strata(q: int):
+    """All of P^3(F_q) in counter order: stratum s has coordinate s equal to
+    1, the ones before it 0 and the 3 - s after it free."""
+    for lead in range(4):
+        yield from _grid(q, lead, range(lead + 1, 4))
 
 
 def count_points(form: CubicForm, budget: int = DEFAULT_POINT_BUDGET) -> int:
@@ -269,12 +308,10 @@ def count_points(form: CubicForm, budget: int = DEFAULT_POINT_BUDGET) -> int:
         raise BudgetExceeded(f"point count over order-{q} field exceeds budget {budget}")
     tab = tables(form.field)
     terms = _form_terms(form)
-    zw = _zw_grid(q)
-    total = 0
-    for coords in _strata(q, zw):
-        values = _eval_terms_batch(tab, terms, [np.atleast_1d(np.asarray(c)) for c in coords])
-        total += int((values == 0).sum())
-    return total
+    return sum(
+        int(np.count_nonzero(_eval_grid(tab, terms, head, w) == 0))
+        for head, w in _strata(q)
+    )
 
 
 def singular_point(
@@ -290,26 +327,18 @@ def singular_point(
         ext = form.extend(m)
         tab = tables(ext.field)
         terms = _form_terms(ext)
-        grads = [
-            [(ext.field.to_int(c), e) for c, e in terms_v]
-            for terms_v in ext.gradient()
-        ]
-        zw = _zw_grid(ext.field.order)
-        for coords in _strata(ext.field.order, zw):
-            arrays = [np.atleast_1d(np.asarray(c)) for c in coords]
-            values = _eval_terms_batch(tab, terms, arrays)
-            on_surface = np.nonzero(values == 0)[0]
-            if len(on_surface) == 0:
+        grads = _gradient_terms(ext)
+        for chunk in _strata(ext.field.order):
+            pts = _zeros(tab, terms, [chunk])
+            if len(pts[3]) == 0:
                 continue
-            shape = np.broadcast_shapes(*(a.shape for a in arrays))
-            pts = [np.broadcast_to(a, shape)[on_surface] for a in arrays]
-            singular = np.ones(len(on_surface), dtype=bool)
+            singular = np.ones(len(pts[3]), dtype=bool)
             for g_terms in grads:
                 singular &= _eval_terms_batch(tab, g_terms, pts) == 0
                 if not singular.any():
                     break
             if singular.any():
-                i = int(np.nonzero(singular)[0][0])
+                i = int(np.flatnonzero(singular)[0])
                 return m, tuple(int(p[i]) for p in pts)
     return None
 
@@ -326,50 +355,9 @@ class LineInP3:
     row1: tuple[int, int, int, int]
     row2: tuple[int, int, int, int]
 
-    def meets(self, other: "LineInP3") -> bool:
-        """Two distinct lines in P^3 meet iff the stacked 4x4 matrix is singular."""
-        fs = self.field
-        rows = [
-            [fs.from_int(x) for x in r]
-            for r in (self.row1, self.row2, other.row1, other.row2)
-        ]
-        # Gaussian elimination rank
-        rank = 0
-        for col in range(4):
-            pivot = None
-            for r in range(rank, 4):
-                if not fs.is_zero(rows[r][col]):
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = fs.inv(rows[rank][col])
-            rows[rank] = [fs.mul(x, inv) for x in rows[rank]]
-            for r in range(4):
-                if r != rank and not fs.is_zero(rows[r][col]):
-                    c = rows[r][col]
-                    rows[r] = [fs.sub(x, fs.mul(c, y)) for x, y in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank < 4
 
-
-def _pattern_free_columns(i: int, j: int) -> tuple[list[int], list[int]]:
-    free1 = [k for k in range(4) if k > i and k != j]
-    free2 = [k for k in range(4) if k > j]
-    return free1, free2
-
-
-def _row_grid(q: int, pivot: int, free: list[int]) -> list[np.ndarray]:
-    """Coordinate arrays (length q^len(free)) for all rows of one RREF shape."""
-    size = q ** len(free)
-    coords: list[np.ndarray] = [np.zeros(size, dtype=np.int64) for _ in range(4)]
-    coords[pivot] = np.ones(size, dtype=np.int64)
-    if free:
-        mesh = np.meshgrid(*([np.arange(q, dtype=np.int64)] * len(free)), indexing="ij")
-        for col, arr in zip(free, mesh):
-            coords[col] = arr.ravel()
-    return coords
+#: pairs of surviving rows tested per chunk of the line scan
+PAIR_CHUNK = 1 << 20
 
 
 def lines_on_surface(
@@ -377,9 +365,9 @@ def lines_on_surface(
 ) -> list[LineInP3]:
     """All lines of P^3(F_q) contained in the surface.
 
-    Iterates the six RREF pivot patterns; a line is kept when the four
-    coefficients of the restricted binary cubic all vanish.  Pair processing
-    is staged: rows killing the pure-cube coefficients are intersected first.
+    Per RREF pivot pattern, the rows A with F(A) = 0 and B with F(B) = 0
+    survive; the gradient is evaluated once per surviving row, so testing the
+    two polars of a pair costs at most eight products.
     """
     fs = form.field
     q = fs.order
@@ -389,62 +377,73 @@ def lines_on_surface(
         raise BudgetExceeded(f"line enumeration over order-{q} field exceeds budget {budget}")
     tab = tables(fs)
     terms = _form_terms(form)
+    grads = _gradient_terms(form)
     out: list[LineInP3] = []
+
+    def polar_logs(rows, columns):
+        return {v: tab.LOG[_eval_terms_batch(tab, grads[v], rows)] for v in columns}
+
     for i, j in itertools.combinations(range(4), 2):
-        free1, free2 = _pattern_free_columns(i, j)
-        grid1 = _row_grid(q, i, free1)
-        grid2 = _row_grid(q, j, free2)
-        vals1 = _eval_terms_batch(tab, terms, grid1)
-        vals2 = _eval_terms_batch(tab, terms, grid2)
-        rows1 = np.nonzero(vals1 == 0)[0]
-        rows2 = np.nonzero(vals2 == 0)[0]
-        if len(rows1) == 0 or len(rows2) == 0:
+        free1 = [k for k in range(i + 1, 4) if k != j]
+        free2 = list(range(j + 1, 4))
+        a = _zeros(tab, terms, _grid(q, i, free1))
+        if len(a[0]) == 0:
             continue
-        a = [c[rows1] for c in grid1]  # surviving r1 coordinates
-        b = [c[rows2] for c in grid2]
-        # all pairs, chunked over r1 survivors
-        chunk = max(1, (1 << 22) // max(1, len(rows2)))
-        n2 = len(rows2)
-        for lo in range(0, len(rows1), chunk):
-            hi = min(lo + chunk, len(rows1))
-            A = [np.repeat(c[lo:hi], n2) for c in a]
-            B = [np.tile(c, hi - lo) for c in b]
-            c1 = np.zeros(len(A[0]), dtype=np.int64)
-            c2 = np.zeros(len(A[0]), dtype=np.int64)
-            for enc, e in terms:
-                f0, f1, f2 = _monomial_factors(e)
-                coeff = np.int64(enc)
-                # one factor from row2
-                t1 = tab.mul(B[f0], tab.mul(A[f1], A[f2]))
-                t1 = tab.add(t1, tab.mul(A[f0], tab.mul(B[f1], A[f2])))
-                t1 = tab.add(t1, tab.mul(A[f0], tab.mul(A[f1], B[f2])))
-                c1 = tab.add(c1, tab.mul(np.broadcast_to(coeff, t1.shape), t1))
-                # two factors from row2
-                t2 = tab.mul(A[f0], tab.mul(B[f1], B[f2]))
-                t2 = tab.add(t2, tab.mul(B[f0], tab.mul(A[f1], B[f2])))
-                t2 = tab.add(t2, tab.mul(B[f0], tab.mul(B[f1], A[f2])))
-                c2 = tab.add(c2, tab.mul(np.broadcast_to(coeff, t2.shape), t2))
-            good = np.nonzero((c1 == 0) & (c2 == 0))[0]
-            for idx in good:
-                out.append(
-                    LineInP3(
-                        fs,
-                        (i, j),
-                        tuple(int(A[v][idx]) for v in range(4)),
-                        tuple(int(B[v][idx]) for v in range(4)),
-                    )
-                )
+        b = _zeros(tab, terms, _grid(q, j, free2))
+        if len(b[0]) == 0:
+            continue
+        n1, n2 = len(a[0]), len(b[0])
+        # B is 1 at its pivot j, free on free2 and 0 elsewhere, so
+        # sum_v B_v dF/dv(A) needs dF/dv(A) only there; likewise for A
+        da = polar_logs(a, [j] + free2)
+        db = polar_logs(b, [i] + free1)
+        log_a = {v: tab.LOG[a[v]][:, None] for v in free1}
+        log_b = {v: tab.LOG[b[v]][None, :] for v in free2}
+        chunk = max(1, PAIR_CHUNK // n2)
+        for lo in range(0, n1, chunk):
+            rows = slice(lo, lo + chunk)
+            c1 = tab.EXP[da[j][rows]][:, None]
+            for v in free2:
+                c1 = tab.add(c1, tab.EXP[da[v][rows, None] + log_b[v]])
+            c2 = tab.EXP[db[i]][None, :]
+            for v in free1:
+                c2 = tab.add(c2, tab.EXP[log_a[v][rows] + db[v][None, :]])
+            hits = (c1 == 0) & (c2 == 0)
+            out.extend(
+                LineInP3(fs, (i, j), tuple(int(c[lo + r1]) for c in a), tuple(int(c[r2]) for c in b))
+                for r1, r2 in zip(*np.nonzero(hits))
+            )
     return out
 
 
+#: Plucker coordinates p_kl = r1_k r2_l - r1_l r2_k, k < l
+_PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+#: the Hodge-Pedoe pairing sum_S sign(S) p_S p'_(complement of S): the
+#: Laplace expansion of the 4x4 determinant along the first line's rows
+_PLUCKER_SIGNS = (1, -1, 1, 1, -1, 1)
+
+
 def line_intersection_labels(lines: list[LineInP3]) -> np.ndarray:
-    """Pairwise meeting matrix (1 meets / 0 skew), diagonal -1."""
+    """Pairwise meeting matrix (1 meets / 0 skew), diagonal -1.
+
+    Two lines meet exactly when the Plucker pairing of their coordinates, the
+    determinant of the stacked 4x4 matrix, vanishes."""
     n = len(lines)
-    labels = np.full((n, n), -1, dtype=np.int64)
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = 1 if lines[a].meets(lines[b]) else 0
-            labels[a, b] = labels[b, a] = v
+    if n == 0:
+        return np.full((0, 0), -1, dtype=np.int64)
+    tab = tables(lines[0].field)
+    r1 = np.array([line.row1 for line in lines], dtype=np.int64)
+    r2 = np.array([line.row2 for line in lines], dtype=np.int64)
+    logs = [
+        tab.LOG[tab.add(tab.mul(r1[:, k], r2[:, l]), tab.NEG[tab.mul(r1[:, l], r2[:, k])])]
+        for k, l in _PLUCKER_PAIRS
+    ]
+    pairing = np.zeros((n, n), dtype=np.int64)
+    for s, sign in enumerate(_PLUCKER_SIGNS):
+        term = tab.EXP[logs[s][:, None] + logs[5 - s][None, :]]
+        pairing = tab.add(pairing, term if sign > 0 else tab.NEG[term])
+    labels = (pairing == 0).astype(np.int64)
+    np.fill_diagonal(labels, -1)
     return labels
 
 

@@ -113,3 +113,25 @@ def test_cli_tables(tmp_path):
     assert len(report["classes"]) == 25
     assert report["char_polys_separate_classes"] is True
     assert len(report["content_hash"]) == 64
+
+
+def test_cli_surface_budget_exceeded_is_one_line(tmp_path, capsys):
+    src = tmp_path / "big.txt"
+    src.write_text(f"2 17 : {FERMAT}\n")
+    assert main(["surface", str(src), "--budget-points", str(10**18)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "\n" not in err and "above order" in err and "Traceback" not in err
+
+
+def test_cli_field_size_error_is_one_line(tmp_path, capsys, monkeypatch):
+    from delpezzo import cli
+    from delpezzo.gf import FieldSizeError
+
+    def too_big(path):
+        raise FieldSizeError("field of order 2^21 exceeds the cap 1048576")
+
+    monkeypatch.setattr(cli, "read_surface_file", too_big)
+    assert main(["surface", str(tmp_path / "any.txt")]) == 2
+    assert capsys.readouterr().err == "surface: field of order 2^21 exceeds the cap 1048576\n"

@@ -163,3 +163,21 @@ def test_csv_round_trip():
     row = dict(zip(header, values))
     assert row["degree_bound"] == "1"
     assert int(row["samples"]) == 2
+
+
+@pytest.mark.parametrize("max_places", [1, 2])
+def test_sample_with_too_few_usable_places_is_skipped(max_places):
+    # a smooth cubic over F_2 with constant coefficients: every degree-1 place
+    # is usable, so max_places caps the usable count below the default 3
+    smooth = [1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1]
+    form = _constant_cubic(smooth)
+    table = build_class_table()
+    places = places_up_to(F2, 3)
+    strict = ExperimentConfig(q=2, max_places=max_places, point_budget=5000, line_budget=10**6)
+    outcome = analyze_sample(form, places, strict, table)
+    assert len(outcome.used_places) == max_places
+    assert outcome.skipped
+    lenient = ExperimentConfig(
+        q=2, max_places=max_places, min_usable_places=max_places, point_budget=5000, line_budget=10**6
+    )
+    assert not analyze_sample(form, places, lenient, table).skipped

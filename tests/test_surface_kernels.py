@@ -1,0 +1,268 @@
+"""Cross-checks of the vectorized surface kernels against slow references.
+
+Each kernel is compared, exhaustively over GF(2), GF(3), GF(4), GF(5), GF(7)
+and GF(9), with a straightforward implementation: `CubicForm.evaluate` at
+every point, the full per-pair expansion of the restricted binary cubic for
+the line scan, and Gaussian elimination on the stacked 4x4 matrix for the
+intersection labels.  The seeded forms have many zero coefficients, and the
+points include every pattern of zero coordinates.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from delpezzo import surface
+from delpezzo.gf import field
+from delpezzo.surface import (
+    MONOMIALS,
+    CubicForm,
+    LineInP3,
+    _eval_terms_batch,
+    _form_terms,
+    _strata,
+    count_points,
+    line_intersection_labels,
+    lines_on_surface,
+    singular_point,
+    tables,
+)
+
+FIELDS = [field(2), field(3), field(2, 2), field(5), field(7), field(3, 2)]
+FIELD_IDS = [repr(fs) for fs in FIELDS]
+
+
+def seeded_forms(fs):
+    """Random forms with many zero coefficients, and structured ones with many
+    lines (three planes, a cone, a plane times a conic) or with vanishing
+    partials (a perfect cube in characteristic 3)."""
+    rng = random.Random(f"kernels/{fs!r}")
+    q = fs.order
+    out = []
+    for density in (0.2, 0.5, 1.0):
+        coeffs = [rng.randrange(1, q) if rng.random() < density else 0 for _ in range(20)]
+        if not any(coeffs):
+            coeffs[rng.randrange(20)] = 1
+        out.append(CubicForm.from_ints(fs, coeffs))
+
+    def monomials(*exponents):
+        coeffs = [0] * 20
+        for e in exponents:
+            coeffs[MONOMIALS.index(e)] = 1
+        return CubicForm.from_ints(fs, coeffs)
+
+    out.append(CubicForm.fermat(fs))
+    out.append(monomials((1, 1, 1, 0)))  # xyz
+    out.append(monomials((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)))  # a cone
+    out.append(monomials((2, 0, 0, 1), (0, 1, 1, 1)))  # w (x^2 + yz)
+    return out
+
+
+def projective_points(fs):
+    """Every point of P^3(F_q) with first nonzero coordinate 1, in counter
+    order."""
+    out = []
+    for lead in range(4):
+        for rest in itertools.product(range(fs.order), repeat=3 - lead):
+            out.append((0,) * lead + (1,) + rest)
+    return out
+
+
+def slow_eval(fs, terms, point):
+    """sum of c * prod x_v^e_v with the field's own tuple arithmetic."""
+    x = [fs.from_int(c) for c in point]
+    acc = fs.zero()
+    for c, e in terms:
+        term = c
+        for v, mult in enumerate(e):
+            for _ in range(mult):
+                term = fs.mul(term, x[v])
+        acc = fs.add(acc, term)
+    return fs.to_int(acc)
+
+
+def slow_value(form, point):
+    fs = form.field
+    return fs.to_int(form.evaluate(tuple(fs.from_int(x) for x in point)))
+
+
+@pytest.mark.parametrize("fs", FIELDS, ids=FIELD_IDS)
+def test_eval_terms_batch_matches_evaluate_everywhere(fs):
+    tab = tables(fs)
+    pts = projective_points(fs) + [(0, 0, 0, 0)]  # every pattern of zeros
+    for form in seeded_forms(fs):
+        terms = _form_terms(form)
+        arrays = [np.array([p[v] for p in pts], dtype=np.int64) for v in range(4)]
+        got = _eval_terms_batch(tab, terms, arrays)
+        assert got.tolist() == [slow_value(form, p) for p in pts]
+        # scalar coordinates, alone and mixed with arrays
+        for p in pts[:: max(1, len(pts) // 60)] + [(0, 0, 0, 0), (1, 0, 0, 0)]:
+            want = slow_value(form, p)
+            scalars = [np.int64(x) for x in p]
+            assert _eval_terms_batch(tab, terms, scalars).tolist() == [want]
+            mixed = scalars[:2] + [np.array([p[2]] * 2), np.array([p[3]] * 2)]
+            assert _eval_terms_batch(tab, terms, mixed).tolist() == [want] * 2
+
+
+def test_log_tables_cover_four_zero_factors():
+    for fs in FIELDS:
+        tab = tables(fs)
+        zero_log = int(tab.LOG[0])
+        assert zero_log > 4 * (fs.order - 2)
+        assert len(tab.EXP) >= 4 * zero_log + fs.order
+        assert not tab.EXP[zero_log:].any()
+
+
+def strata_points(q):
+    out = []
+    for head, w in _strata(q):
+        rows = max(np.size(h) for h in head)
+        cols = [np.broadcast_to(h, (rows,)) for h in head]
+        out += [tuple(int(c[r]) for c in cols) + (int(x),) for r in range(rows) for x in w]
+    return out
+
+
+@pytest.mark.parametrize("fs", FIELDS, ids=FIELD_IDS)
+def test_point_scans_match_brute_force(fs, monkeypatch):
+    points = projective_points(fs)
+    forms = seeded_forms(fs)
+    for chunk in (surface.POINT_CHUNK, 5):
+        monkeypatch.setattr(surface, "POINT_CHUNK", chunk)
+        assert strata_points(fs.order) == points
+        for form in forms:
+            zeros = [p for p in points if slow_value(form, p) == 0]
+            assert count_points(form) == len(zeros)
+            grads = form.gradient()
+            singular = [p for p in zeros if all(slow_eval(fs, g, p) == 0 for g in grads)]
+            assert singular_point(form, max_extension=1) == ((1, singular[0]) if singular else None)
+
+
+# -- the line scan, against the full per-pair expansion -----------------------
+
+
+def old_lines_on_surface(form):
+    """Every RREF row pair whose restricted binary cubic has all four
+    coefficients zero, each coefficient expanded term by term."""
+    fs = form.field
+    q = fs.order
+    tab = tables(fs)
+    terms = [(enc, tuple(v for v, mult in enumerate(e) for _ in range(mult))) for enc, e in _form_terms(form)]
+
+    def evaluate(coords):
+        acc = np.zeros(len(coords[0]), dtype=np.int64)
+        for enc, factors in terms:
+            term = np.full(len(coords[0]), enc, dtype=np.int64)
+            for v in factors:
+                term = tab.mul(term, coords[v])
+            acc = tab.add(acc, term)
+        return acc
+
+    def row_grid(pivot, free):
+        size = q ** len(free)
+        coords = [np.zeros(size, dtype=np.int64) for _ in range(4)]
+        coords[pivot] = np.ones(size, dtype=np.int64)
+        if free:
+            mesh = np.meshgrid(*([np.arange(q, dtype=np.int64)] * len(free)), indexing="ij")
+            for col, arr in zip(free, mesh):
+                coords[col] = arr.ravel()
+        return coords
+
+    out = []
+    for i, j in itertools.combinations(range(4), 2):
+        grid1 = row_grid(i, [k for k in range(4) if k > i and k != j])
+        grid2 = row_grid(j, [k for k in range(4) if k > j])
+        rows1 = np.nonzero(evaluate(grid1) == 0)[0]
+        rows2 = np.nonzero(evaluate(grid2) == 0)[0]
+        if len(rows1) == 0 or len(rows2) == 0:
+            continue
+        A = [np.repeat(c[rows1], len(rows2)) for c in grid1]
+        B = [np.tile(c[rows2], len(rows1)) for c in grid2]
+        c1 = np.zeros(len(A[0]), dtype=np.int64)
+        c2 = np.zeros(len(A[0]), dtype=np.int64)
+        for enc, (f0, f1, f2) in terms:
+            coeff = np.full(len(A[0]), enc, dtype=np.int64)
+            t1 = tab.mul(B[f0], tab.mul(A[f1], A[f2]))
+            t1 = tab.add(t1, tab.mul(A[f0], tab.mul(B[f1], A[f2])))
+            t1 = tab.add(t1, tab.mul(A[f0], tab.mul(A[f1], B[f2])))
+            c1 = tab.add(c1, tab.mul(coeff, t1))
+            t2 = tab.mul(A[f0], tab.mul(B[f1], B[f2]))
+            t2 = tab.add(t2, tab.mul(B[f0], tab.mul(A[f1], B[f2])))
+            t2 = tab.add(t2, tab.mul(B[f0], tab.mul(B[f1], A[f2])))
+            c2 = tab.add(c2, tab.mul(coeff, t2))
+        for idx in np.nonzero((c1 == 0) & (c2 == 0))[0]:
+            row1 = tuple(int(A[v][idx]) for v in range(4))
+            row2 = tuple(int(B[v][idx]) for v in range(4))
+            out.append(LineInP3(fs, (i, j), row1, row2))
+    return out
+
+
+@pytest.mark.parametrize("fs", FIELDS, ids=FIELD_IDS)
+def test_lines_on_surface_matches_full_expansion(fs, monkeypatch):
+    for form in seeded_forms(fs):
+        want = old_lines_on_surface(form)
+        assert lines_on_surface(form) == want
+        monkeypatch.setattr(surface, "PAIR_CHUNK", 3)
+        monkeypatch.setattr(surface, "POINT_CHUNK", 4)
+        assert lines_on_surface(form) == want
+        monkeypatch.undo()
+
+
+def test_line_scan_sees_many_lines():
+    # the cross-check above is only as good as the line sets it compares
+    for fs in FIELDS:
+        counts = [len(old_lines_on_surface(f)) for f in seeded_forms(fs)]
+        assert max(counts) >= fs.order**2 + fs.order + 1
+
+
+# -- intersection labels, against Gaussian elimination ------------------------
+
+
+def old_meets(l1, l2):
+    """Two lines meet iff the stacked 4x4 matrix has rank < 4."""
+    fs = l1.field
+    rows = [[fs.from_int(x) for x in r] for r in (l1.row1, l1.row2, l2.row1, l2.row2)]
+    rank = 0
+    for col in range(4):
+        pivot = next((r for r in range(rank, 4) if not fs.is_zero(rows[r][col])), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = fs.inv(rows[rank][col])
+        rows[rank] = [fs.mul(x, inv) for x in rows[rank]]
+        for r in range(4):
+            if r != rank and not fs.is_zero(rows[r][col]):
+                c = rows[r][col]
+                rows[r] = [fs.sub(x, fs.mul(c, y)) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank < 4
+
+
+def random_line(fs, rng):
+    i, j = rng.choice(list(itertools.combinations(range(4), 2)))
+    row1 = [0] * 4
+    row2 = [0] * 4
+    row1[i] = row2[j] = 1
+    for k in range(i + 1, 4):
+        if k != j:
+            row1[k] = rng.randrange(fs.order) if rng.random() < 0.7 else 0
+    for k in range(j + 1, 4):
+        row2[k] = rng.randrange(fs.order) if rng.random() < 0.7 else 0
+    return LineInP3(fs, (i, j), tuple(row1), tuple(row2))
+
+
+@pytest.mark.parametrize("fs", FIELDS, ids=FIELD_IDS)
+def test_line_intersection_labels_match_elimination(fs):
+    rng = random.Random(f"labels/{fs!r}")
+    sets = [[random_line(fs, rng) for _ in range(30)]]
+    for form in seeded_forms(fs):
+        lines = lines_on_surface(form)
+        sets.append(rng.sample(lines, min(len(lines), 30)))
+    for lines in sets:
+        n = len(lines)
+        want = np.full((n, n), -1, dtype=np.int64)
+        for a, b in itertools.combinations(range(n), 2):
+            want[a, b] = want[b, a] = int(old_meets(lines[a], lines[b]))
+        assert line_intersection_labels(lines).tolist() == want.tolist()
+    assert line_intersection_labels([]).shape == (0, 0)
