@@ -256,34 +256,31 @@ SUBGROUP_NAMES = (
 )
 
 
-def _element_array(group) -> np.ndarray:
-    return np.array(list(group.elements()), dtype=np.int64)
-
-
-def _determinants(elements: np.ndarray) -> np.ndarray:
-    """Batched determinant signs of the rank-7 lattice lifts."""
-    vecs, basis_idx, vb_inv, _ = _lift_data()
-    images = vecs[elements[:, basis_idx]]  # (N, 7, 7) rows are image vectors
-    mats = np.swapaxes(images, 1, 2).astype(np.float64) @ vb_inv.astype(np.float64)
-    return np.rint(np.linalg.det(mats)).astype(np.int64)
-
-
 @lru_cache(maxsize=None)
 def build_class_table() -> ClassTable:
     """Derive the full 25-row class table and the stabilizer cycle-type sets
-    from scratch; everything is content-hashed for report provenance."""
+    from scratch; everything is content-hashed for report provenance.
+
+    The group is enumerated once, as an array whose rows carry conjugacy-class
+    labels.  Class functions (cycle type, the lattice lift and its
+    determinant) are computed on the 25 representatives only and reach the
+    other elements through the labels; the stabilizer subgroups are not
+    normal, so their membership masks stay per element."""
     ctx = DegreeContext(3)
     graph = incidence_graph(ctx)
     w = weyl_image(ctx)
     assert w.order == 51840
 
-    classes = w.conjugacy_classes()
-    reps_sorted = sorted(
-        classes, key=lambda c: (math.lcm(*cycle_type(c[0])), cycle_type(c[0]), c[0])
-    )
+    elements, labels = w.class_labels()
+    rep_rows, sizes = np.unique(labels, return_counts=True)
+    class_of = np.searchsorted(rep_rows, labels)  # per element: index into rep_rows
+    reps = [tuple(int(x) for x in elements[r]) for r in rep_rows]
+    types = [cycle_type(rep) for rep in reps]
+    determinants = np.array([round(np.linalg.det(lattice_matrix(rep))) for rep in reps])
+    by_order = sorted(range(len(reps)), key=lambda i: (math.lcm(*types[i]), types[i], reps[i]))
     rows = []
-    for class_id, (rep, size) in enumerate(reps_sorted):
-        ct = cycle_type(rep)
+    for class_id, i in enumerate(by_order):
+        rep, ct = reps[i], types[i]
         a6 = root_lattice_matrix(rep)
         traces = []
         power = np.eye(6, dtype=np.int64)
@@ -296,7 +293,7 @@ def build_class_table() -> ClassTable:
                 representative=rep,
                 cycle_type=ct,
                 element_order=math.lcm(*ct),
-                class_size=size,
+                class_size=int(sizes[i]),
                 char_poly=charpoly(a6),
                 lattice_traces=tuple(traces),
                 fixed_lines=tuple(fixed_points_of_power(ct, m) for m in range(1, TRACE_DEPTH + 1)),
@@ -304,9 +301,6 @@ def build_class_table() -> ClassTable:
         )
     assert sum(r.class_size for r in rows) == 51840
     assert len(rows) == 25
-
-    elements = _element_array(w)
-    all_types = [cycle_type(tuple(int(x) for x in row)) for row in elements]
 
     ds0 = double_sixes(graph)[0]
     ds_set = np.zeros(27, dtype=bool)
@@ -333,7 +327,7 @@ def build_class_table() -> ClassTable:
         mx = np.max(np.where(src, part_id[elements], -1), axis=1)
         mn = np.min(np.where(src, part_id[elements], 99), axis=1)
         set_mask &= mx == mn
-    even_mask = _determinants(elements) == 1
+    even_mask = determinants[class_of] == 1
 
     masks = {
         "LineStab": line_mask,
@@ -346,8 +340,8 @@ def build_class_table() -> ClassTable:
     subgroups = {}
     for name in SUBGROUP_NAMES:
         mask = masks[name]
-        types = frozenset(all_types[i] for i in np.nonzero(mask)[0])
-        subgroups[name] = SubgroupCycleSet(name, int(mask.sum()), types)
+        met = frozenset(types[i] for i in np.unique(class_of[mask]))
+        subgroups[name] = SubgroupCycleSet(name, int(mask.sum()), met)
 
     types_by_class = [r.cycle_type for r in rows]
     polys_by_class = [r.char_poly for r in rows]

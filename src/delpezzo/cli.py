@@ -116,7 +116,11 @@ def _emit(report: dict, args) -> None:
 
 def cmd_verify(args) -> int:
     if args.degree is not None:
-        checks = [c.to_json() for c in verify_table1(full_aut_d1=args.full_aut)
+        if not 1 <= args.degree <= 7:
+            print(f"verify: degree must be in 1..7, got {args.degree}", file=sys.stderr)
+            return 2
+        table1 = verify_table1(full_aut_d1=args.full_aut, degrees=(args.degree,))
+        checks = [c.to_json() for c in table1
                   if f"d={args.degree}" in c.claim or c.claim.endswith(f"n_{args.degree}")]
         if 1 <= args.degree <= 6:
             checks += [c.to_json() for c in stabilizer_chain_check(args.degree)]
@@ -201,12 +205,12 @@ def _analyze_function_field_surface(form: FunctionFieldCubic, table, args) -> di
 
 
 def cmd_surface(args) -> int:
-    table = build_class_table()
     try:
         surfaces = read_surface_file(args.input)
     except SurfaceFileError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    table = build_class_table()
     reports = []
     for lineno, kind, form in surfaces:
         if kind == "finite-field":
@@ -281,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the combinatorial verification suite")
     p_verify.add_argument("-d", "--degree", type=int, default=None,
-                          help="restrict to one degree (default: all)")
+                          help="restrict to one degree in 1..7 (default: all)")
     p_verify.add_argument("--all", action="store_true", help="run everything (default)")
     p_verify.add_argument("--full-aut", action="store_true",
                           help="also search the full degree-1 symmetry group (minutes)")
@@ -322,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceeded, FieldSizeError) as exc:
+    except (BudgetExceeded, FieldSizeError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

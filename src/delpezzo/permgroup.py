@@ -9,6 +9,13 @@ integers, so no overflow reasoning is ever needed.
 
 Groups here act on at most 240 points with order at most |W(E8)| ~ 7e8,
 well inside deterministic reach; full element enumeration is capped.
+`elements()` walks the transversals lazily; `element_array()` builds the
+same rows as one order x degree numpy array, one gather per stabilizer
+level.  Conjugacy classes are computed on that array: every element is keyed
+by its images of the base (which determine it), conjugation by each
+generator becomes one gather plus a sorted-key lookup, and min-label
+propagation with pointer jumping labels each element by the row of the
+lexicographically least member of its class.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ import math
 from collections import deque
 from random import Random
 from typing import Iterable, Iterator
+
+import numpy as np
 
 Permutation = tuple[int, ...]
 CycleType = tuple[int, ...]
@@ -252,31 +261,65 @@ class PermutationGroup:
                 g = compose(u, g)
         return g
 
+    def element_array(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+        """Every element as one row of an order x degree array, in exactly the
+        order of `elements()`: one gather per level of the stabilizer chain."""
+        if self.order > cap:
+            raise CapacityError(
+                f"group order {self.order} exceeds enumeration cap {cap}"
+            )
+        n = self.degree
+        rows = np.arange(n, dtype=np.int16)[None, :]  # degrees here stay below 2^15
+        for lvl in self._levels:
+            reps = np.array([lvl.rep(x, n) for x in sorted(lvl.transversal)], dtype=np.intp)
+            # compose(u, right)[j] = right[u[j]], with the earlier levels outermost
+            rows = rows[:, reps].reshape(-1, n)
+        return rows
+
+    def class_labels(
+        self, cap: int = DEFAULT_ENUMERATION_CAP
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(elements, labels): every element as a row, sorted lexicographically,
+        and for each row the row index of the least member of its class."""
+        el = self.element_array(cap)
+        el = el[np.lexsort(el.T[::-1])]
+        base = list(self.base)
+        assert self.degree ** len(base) < 2**63, "base keys overflow int64"
+        radix = self.degree ** np.arange(len(base) - 1, -1, -1, dtype=np.int64)
+
+        def keys(rows: np.ndarray) -> np.ndarray:
+            return rows[:, base].astype(np.int64) @ radix
+
+        key = keys(el)
+        by_key = np.argsort(key)
+        sorted_keys = key[by_key]
+        neighbours = []
+        for g in self.generators:
+            g_arr = np.array(g, dtype=np.intp)
+            conj = g_arr[el[:, inverse(g)]]  # g^-1 y g for every element y
+            at = np.searchsorted(sorted_keys, keys(conj))
+            found = by_key[np.minimum(at, len(el) - 1)]
+            assert np.array_equal(el[found], conj), "conjugate outside the group"
+            neighbours.append(found)
+        label = np.arange(len(el))
+        while True:
+            new = label
+            for nb in neighbours:
+                new = np.minimum(new, label[nb])
+            new = new[new]
+            if np.array_equal(new, label):
+                return el, label
+            label = new
+
     def conjugacy_classes(
         self, cap: int = DEFAULT_ENUMERATION_CAP
     ) -> list[tuple[Permutation, int]]:
-        """(representative, class size) pairs from the orbit partition of the
-        full element list under conjugation by the generators; representatives
-        are the lexicographically least class members, classes sorted by
+        """(representative, class size) pairs: representatives are the
+        lexicographically least class members, classes sorted by
         representative."""
-        todo = set(self.elements(cap))
-        inv_gens = [(g, inverse(g)) for g in self.generators]
-        classes: list[tuple[Permutation, int]] = []
-        while todo:
-            x = min(todo)
-            block = {x}
-            queue = deque([x])
-            while queue:
-                y = queue.popleft()
-                for g, gi in inv_gens:
-                    z = compose(compose(gi, y), g)
-                    if z not in block:
-                        block.add(z)
-                        queue.append(z)
-            todo -= block
-            classes.append((min(block), len(block)))
-        classes.sort(key=lambda c: c[0])
-        return classes
+        el, label = self.class_labels(cap)
+        reps, sizes = np.unique(label, return_counts=True)
+        return [(tuple(int(x) for x in el[r]), int(s)) for r, s in zip(reps, sizes)]
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"

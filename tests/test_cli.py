@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -57,6 +58,44 @@ def test_cli_verify_single_degree(tmp_path, capsys):
     assert any("d=7" in c for c in claims)
 
 
+#: sha256 of the `verify -d N` report for each degree
+VERIFY_REPORT_SHA256 = {
+    1: "78e70957d812077d4c108f18f848b60641c581a2160e3b3e0ce5a0832e64fb5b",
+    2: "c26d794e39e4b8aa8b042c7ad210c6b0b953e18156b8884771fc6ea73833fdc4",
+    3: "97ab4b9a1ee906060f0223b0ba55f494f906a5165d7c9651ef2d793be6ab725b",
+    4: "1ef5fc8197d96fb312f8109a6cc94db3a0c1dc6f082e94e80c751ea90fd21e00",
+    5: "cace285a6263b2dbd03d9372ac4eea116f27d7ff17ec132b81c020f228d3ddcb",
+    6: "c500e380a6839635393de525aa9e784f6e60638c0124e572ce56756a08b6b892",
+    7: "1bc362aba6c1274848cf5d8913f80c69032260fff14a1e567658dbed46d30220",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(VERIFY_REPORT_SHA256))
+def test_cli_verify_computes_only_the_degree_asked_for(degree, tmp_path, monkeypatch):
+    from delpezzo import cli
+
+    asked = []
+    verify_table1 = cli.verify_table1
+
+    def spy(**kwargs):
+        asked.append(tuple(kwargs["degrees"]))
+        return verify_table1(**kwargs)
+
+    monkeypatch.setattr(cli, "verify_table1", spy)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "-d", str(degree), "--json", str(out)]) == 0
+    assert asked == [(degree,)]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_REPORT_SHA256[degree]
+
+
+@pytest.mark.parametrize("degree", ["0", "8", "9", "-3"])
+def test_cli_verify_rejects_degrees_outside_1_to_7(degree, capsys):
+    assert main(["verify", "-d", degree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verify: degree must be in 1..7, got {degree}\n"
+
+
 def test_cli_surface_end_to_end(tmp_path):
     src = tmp_path / "in.txt"
     src.write_text(
@@ -83,6 +122,28 @@ def test_cli_surface_bad_file(tmp_path, capsys):
     src.write_text("7 1 : 1,2\n")
     assert main(["surface", str(src)]) == 2
     assert ":1:" in capsys.readouterr().err
+
+
+def test_cli_surface_missing_file_is_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["surface", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("surface: ") and str(missing) in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_cli_surface_reads_input_before_building_the_table(tmp_path, capsys, monkeypatch):
+    from delpezzo import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the class table was built for a malformed file")
+
+    monkeypatch.setattr(cli, "build_class_table", never)
+    src = tmp_path / "bad.txt"
+    src.write_text(f"7 1 : {FERMAT}\n7 1 : 1,2\n")
+    assert main(["surface", str(src)]) == 2
+    assert capsys.readouterr().err == f"{src}:2: expected 20 coefficients, got 2\n"
 
 
 def test_cli_density_tiny(tmp_path):

@@ -4,6 +4,8 @@ from collections import Counter
 
 import pytest
 
+from delpezzo.incidence import weyl_image
+from delpezzo.lattice import DegreeContext
 from delpezzo.permgroup import (
     CapacityError,
     PermutationGroup,
@@ -139,6 +141,11 @@ def test_enumeration_capacity_error():
     G = PermutationGroup(8, transpositions(8))  # order 40320
     with pytest.raises(CapacityError):
         list(G.elements(cap=1000))
+    with pytest.raises(CapacityError):
+        G.element_array(cap=1000)
+    with pytest.raises(CapacityError):
+        G.conjugacy_classes(cap=40319)
+    assert len(G.element_array(cap=40320)) == 40320
 
 
 def test_cycle_type_and_power_fixed_points():
@@ -197,3 +204,55 @@ def test_inverse_and_compose():
         p = tuple(p)
         assert compose(p, inverse(p)) == identity(n)
         assert compose(inverse(p), p) == identity(n)
+
+
+def bfs_conjugacy_classes(G):
+    """The orbit partition of the element set under conjugation by the
+    generators, one breadth-first search per class."""
+    todo = set(G.elements())
+    inv_gens = [(g, inverse(g)) for g in G.generators]
+    classes = []
+    while todo:
+        x = min(todo)
+        block = {x}
+        queue = [x]
+        while queue:
+            y = queue.pop()
+            for g, gi in inv_gens:
+                z = compose(compose(gi, y), g)
+                if z not in block:
+                    block.add(z)
+                    queue.append(z)
+        todo -= block
+        classes.append((min(block), len(block)))
+    return sorted(classes)
+
+
+def cross_check_groups():
+    yield PermutationGroup(4, transpositions(4))
+    yield PermutationGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    for d in range(3, 8):
+        yield weyl_image(DegreeContext(d))
+
+
+def test_element_array_rows_follow_elements():
+    for G in cross_check_groups():
+        rows = G.element_array()
+        assert rows.shape == (G.order, G.degree)
+        assert [tuple(r) for r in rows.tolist()] == list(G.elements())
+
+
+def test_conjugacy_classes_match_the_orbit_partition():
+    for G in cross_check_groups():
+        classes = G.conjugacy_classes()
+        assert classes == bfs_conjugacy_classes(G)
+        el, label = G.class_labels()
+        assert [tuple(r) for r in el.tolist()] == sorted(G.elements())
+        assert [tuple(el[r].tolist()) for r in sorted(set(label.tolist()))] == [
+            rep for rep, _ in classes]
+
+
+def test_conjugacy_classes_of_trivial_and_cyclic_groups():
+    assert PermutationGroup(3, []).conjugacy_classes() == [((0, 1, 2), 1)]
+    c5 = PermutationGroup(5, [(1, 2, 3, 4, 0)])
+    assert [size for _, size in c5.conjugacy_classes()] == [1] * 5
