@@ -120,8 +120,7 @@ def cmd_verify(args) -> int:
             print(f"verify: degree must be in 1..7, got {args.degree}", file=sys.stderr)
             return 2
         table1 = verify_table1(full_aut_d1=args.full_aut, degrees=(args.degree,))
-        checks = [c.to_json() for c in table1
-                  if f"d={args.degree}" in c.claim or c.claim.endswith(f"n_{args.degree}")]
+        checks = [c.to_json() for c in table1 if c.degree == args.degree]
         if 1 <= args.degree <= 6:
             checks += [c.to_json() for c in stabilizer_chain_check(args.degree)]
         if args.degree == 3:

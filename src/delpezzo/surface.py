@@ -16,13 +16,19 @@ Two lines meet when the Plucker pairing of their coordinates vanishes.
 Smoothness is certified operationally: a singular point over a small extension
 refutes it, and exactly 27 lines over some extension whose intersection graph
 matches the degree-3 incidence graph certifies it.
+
+A `CubicForm` builds each extension, its encoded terms and one point scan
+(the point count and the first singular point) once, and `count_points` and
+`singular_point` are views of that scan.  A point scan over GF(q^m) needs
+q^(3m) within the point budget; a line scan needs q^(4m) within the line
+budget and q^m within the field bound and LINE_ENUMERATION_FIELD_CAP.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,6 +51,8 @@ TABLE_FIELD_CAP = 2**16
 #: permissive default work budgets; drivers usually pass something smaller
 DEFAULT_POINT_BUDGET = 10**9
 DEFAULT_LINE_BUDGET = 10**8
+#: extension levels `frobenius_class` gathers evidence over, at most
+FROBENIUS_DEPTH = 12
 
 
 class NotSmoothOrBadReduction(RuntimeError):
@@ -137,6 +145,7 @@ class CubicForm:
 
     field: FieldSpec
     coeffs: tuple[Element, ...]
+    _extensions: dict = dataclass_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != 20:
@@ -175,16 +184,26 @@ class CubicForm:
         return acc
 
     def extend(self, m: int) -> "CubicForm":
-        """The same form with coefficients embedded into GF(q^m)."""
+        """The same form over GF(q^m), built once per form and m."""
         if m == 1:
             return self
-        fs = self.field
-        big = field(fs.p, fs.k * m)
-        lift = embed(fs, big)
-        return CubicForm(big, tuple(lift(c) for c in self.coeffs))
+        ext = self._extensions.get(m)
+        if ext is None:
+            fs = self.field
+            big = field(fs.p, fs.k * m)
+            lift = embed(fs, big)
+            ext = self._extensions[m] = CubicForm(big, tuple(lift(c) for c in self.coeffs))
+        return ext
 
-    def gradient(self) -> list[list[tuple[Element, tuple[int, int, int, int]]]]:
-        """Per variable, the nonzero terms of the partial derivative."""
+    @cached_property
+    def terms(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(encoded coefficient, exponents) of every nonzero term."""
+        fs = self.field
+        return tuple((fs.to_int(c), e) for c, e in zip(self.coeffs, MONOMIALS) if not fs.is_zero(c))
+
+    @cached_property
+    def gradient_terms(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """Per variable, the encoded nonzero terms of the partial derivative."""
         fs = self.field
         out = []
         for v in range(4):
@@ -196,9 +215,21 @@ class CubicForm:
                 if fs.is_zero(scaled):
                     continue
                 lowered = tuple(x - 1 if i == v else x for i, x in enumerate(e))
-                terms.append((scaled, lowered))
-            out.append(terms)
-        return out
+                terms.append((fs.to_int(scaled), lowered))
+            out.append(tuple(terms))
+        return tuple(out)
+
+    @cached_property
+    def _point_scan(self) -> tuple[int, tuple[int, int, int, int] | None]:
+        """One pass over P^3(F_q): the number of points of the surface and
+        the encodings of its first singular point in counter order, or None."""
+        tab = tables(self.field)
+        pts = _zeros(tab, self.terms, _strata(self.field.order))
+        singular = np.ones(len(pts[3]), dtype=bool)
+        for g_terms in self.gradient_terms:
+            singular &= _eval_terms_batch(tab, g_terms, pts) == 0
+        hits = np.flatnonzero(singular)
+        return len(pts[3]), (tuple(int(p[hits[0]]) for p in pts) if len(hits) else None)
 
 
 def _eval_terms_batch(tab: _Tables, terms: list[tuple[int, tuple[int, ...]]], coords: list) -> np.ndarray:
@@ -229,20 +260,6 @@ def _eval_terms_batch(tab: _Tables, terms: list[tuple[int, tuple[int, ...]]], co
     if char2:
         return acc
     return (acc % tab.fs.p) @ tab.PPOW
-
-
-def _form_terms(form: CubicForm) -> list[tuple[int, tuple[int, ...]]]:
-    fs = form.field
-    return [
-        (fs.to_int(c), e)
-        for c, e in zip(form.coeffs, MONOMIALS)
-        if not fs.is_zero(c)
-    ]
-
-
-def _gradient_terms(form: CubicForm) -> list[list[tuple[int, tuple[int, ...]]]]:
-    fs = form.field
-    return [[(fs.to_int(c), e) for c, e in terms_v] for terms_v in form.gradient()]
 
 
 def _eval_grid(tab: _Tables, terms, head: list, w: np.ndarray) -> np.ndarray:
@@ -301,17 +318,22 @@ def _strata(q: int):
         yield from _grid(q, lead, range(lead + 1, 4))
 
 
+def _points_fit(q: int, m: int, budget: int) -> bool:
+    """The point gate: a scan of P^3(GF(q^m)) costs q^(3m) evaluations."""
+    return q ** (3 * m) <= budget
+
+
+def _lines_fit(q: int, m: int, budget: int, max_field: int = LINE_ENUMERATION_FIELD_CAP) -> bool:
+    """The line gate: a scan over GF(q^m) costs q^(4m) row pairs."""
+    return q ** (4 * m) <= budget and q**m <= min(max_field, LINE_ENUMERATION_FIELD_CAP)
+
+
 def count_points(form: CubicForm, budget: int = DEFAULT_POINT_BUDGET) -> int:
-    """|{P in P^3(F_q) : F(P) = 0}| by iterating the four affine strata."""
+    """|{P in P^3(F_q) : F(P) = 0}|, from the form's point scan."""
     q = form.field.order
-    if q**3 > budget:
+    if not _points_fit(q, 1, budget):
         raise BudgetExceeded(f"point count over order-{q} field exceeds budget {budget}")
-    tab = tables(form.field)
-    terms = _form_terms(form)
-    return sum(
-        int(np.count_nonzero(_eval_grid(tab, terms, head, w) == 0))
-        for head, w in _strata(q)
-    )
+    return form._point_scan[0]
 
 
 def singular_point(
@@ -322,24 +344,11 @@ def singular_point(
     budget."""
     q = form.field.order
     for m in range(1, max_extension + 1):
-        if q ** (3 * m) > budget:
+        if not _points_fit(q, m, budget):
             break
-        ext = form.extend(m)
-        tab = tables(ext.field)
-        terms = _form_terms(ext)
-        grads = _gradient_terms(ext)
-        for chunk in _strata(ext.field.order):
-            pts = _zeros(tab, terms, [chunk])
-            if len(pts[3]) == 0:
-                continue
-            singular = np.ones(len(pts[3]), dtype=bool)
-            for g_terms in grads:
-                singular &= _eval_terms_batch(tab, g_terms, pts) == 0
-                if not singular.any():
-                    break
-            if singular.any():
-                i = int(np.flatnonzero(singular)[0])
-                return m, tuple(int(p[i]) for p in pts)
+        witness = form.extend(m)._point_scan[1]
+        if witness is not None:
+            return m, witness
     return None
 
 
@@ -371,25 +380,21 @@ def lines_on_surface(
     """
     fs = form.field
     q = fs.order
-    if q > LINE_ENUMERATION_FIELD_CAP:
-        raise BudgetExceeded(f"line enumeration capped at field order {LINE_ENUMERATION_FIELD_CAP}")
-    if (q**2 + 1) * (q**2 + q + 1) > budget:
-        raise BudgetExceeded(f"line enumeration over order-{q} field exceeds budget {budget}")
+    if not _lines_fit(q, 1, budget):
+        raise BudgetExceeded(f"line enumeration over order-{q} field exceeds budget {budget} or the field cap")
     tab = tables(fs)
-    terms = _form_terms(form)
-    grads = _gradient_terms(form)
     out: list[LineInP3] = []
 
     def polar_logs(rows, columns):
-        return {v: tab.LOG[_eval_terms_batch(tab, grads[v], rows)] for v in columns}
+        return {v: tab.LOG[_eval_terms_batch(tab, form.gradient_terms[v], rows)] for v in columns}
 
     for i, j in itertools.combinations(range(4), 2):
         free1 = [k for k in range(i + 1, 4) if k != j]
         free2 = list(range(j + 1, 4))
-        a = _zeros(tab, terms, _grid(q, i, free1))
+        a = _zeros(tab, form.terms, _grid(q, i, free1))
         if len(a[0]) == 0:
             continue
-        b = _zeros(tab, terms, _grid(q, j, free2))
+        b = _zeros(tab, form.terms, _grid(q, j, free2))
         if len(b[0]) == 0:
             continue
         n1, n2 = len(a[0]), len(b[0])
@@ -464,7 +469,7 @@ def trace_sequence(
     q = form.field.order
     values = []
     for m in range(1, m_max + 1):
-        if q ** (3 * m) > budget:
+        if not _points_fit(q, m, budget):
             break
         count = count_points(form.extend(m), budget=budget)
         qm = q**m
@@ -521,7 +526,7 @@ def smoothness_certificate(
         )
     counts: dict[int, int] = {}
     m = 1
-    while q ** (4 * m) <= line_budget and q**m <= max_line_field:
+    while _lines_fit(q, m, line_budget, max_line_field):
         lines = lines_on_surface(form.extend(m), budget=line_budget)
         counts[m] = len(lines)
         if len(lines) > 27:
@@ -584,7 +589,6 @@ def frobenius_class(
     point_budget: int = DEFAULT_POINT_BUDGET,
     line_budget: int = DEFAULT_LINE_BUDGET,
     verdict: SmoothnessVerdict | None = None,
-    max_depth: int = 12,
     max_line_field: int = 512,
 ) -> FrobeniusEvidence:
     """Every conjugacy class consistent with the rational-line counts over the
@@ -599,16 +603,12 @@ def frobenius_class(
     counts = dict(verdict.line_counts) if verdict is not None else {}
     traces: dict[int, int] = {}
     candidates = _matching_classes(class_table, counts, traces)
-    for m in range(1, max_depth + 1):
+    for m in range(1, FROBENIUS_DEPTH + 1):
         if len(candidates) == 1:
             break
-        progressed = False
-        if m not in counts and q ** (4 * m) <= line_budget and q**m <= min(
-            max_line_field, LINE_ENUMERATION_FIELD_CAP
-        ):
+        if m not in counts and _lines_fit(q, m, line_budget, max_line_field):
             counts[m] = len(lines_on_surface(form.extend(m), budget=line_budget))
-            progressed = True
-        if q ** (3 * m) <= point_budget:
+        if _points_fit(q, m, point_budget):
             count = count_points(form.extend(m), budget=point_budget)
             qm = q**m
             num = count - qm * qm - 1
@@ -617,13 +617,9 @@ def frobenius_class(
                     f"point count {count} over GF({q}^{m}) violates the Weil shape"
                 )
             traces[m] = num // qm
-            progressed = True
-        if progressed:
-            candidates = _matching_classes(class_table, counts, traces)
-            if not candidates:
-                raise NotSmoothOrBadReduction("no conjugacy class matches the evidence")
-    if not candidates:
-        raise NotSmoothOrBadReduction("no conjugacy class matches the evidence")
+        candidates = _matching_classes(class_table, counts, traces)
+        if not candidates:
+            raise NotSmoothOrBadReduction("no conjugacy class matches the evidence")
     trace_tuple = tuple(traces[m] for m in sorted(traces))
     return FrobeniusEvidence(tuple(candidates), counts, trace_tuple)
 

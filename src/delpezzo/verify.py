@@ -37,6 +37,8 @@ class Check:
     claim: str
     expected: Any
     computed: Any
+    #: the degree the claim is about, if it is about one
+    degree: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -71,25 +73,27 @@ def verify_table1(
     for d in degrees:
         ctx = DegreeContext(d)
         n = len(exceptional_classes(ctx))
-        checks.append(Check(f"class count n_{d}", CLASS_COUNTS[d], n))
+        checks.append(Check(f"class count n_{d}", CLASS_COUNTS[d], n, d))
         graph = incidence_graph(ctx)
         w = weyl_image(ctx)
-        checks.append(Check(f"|W image| for d={d}", AUT_ORDERS[d], w.order))
+        checks.append(Check(f"|W image| for d={d}", AUT_ORDERS[d], w.order, d))
         checks.append(
             Check(
                 f"W generators preserve the degree-{d} labels",
                 True,
                 all(_is_label_preserving(graph, g) for g in w.generators),
+                d,
             )
         )
         if d >= 2 or full_aut_d1:
             aut = automorphism_group(graph)
-            checks.append(Check(f"|Aut| for d={d}", AUT_ORDERS[d], aut.order))
+            checks.append(Check(f"|Aut| for d={d}", AUT_ORDERS[d], aut.order, d))
             checks.append(
                 Check(
                     f"W image inside Aut for d={d}",
                     True,
                     all(aut.contains(g) for g in w.generators),
+                    d,
                 )
             )
     return checks

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines; every expected value is pinned here, nothing is deferred.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -246,6 +247,10 @@ def test_criterion_8_density_experiment():
     _announce(8, f"H1-trivial densities {['%.3f' % d for d in densities]} non-decreasing, >= 0.9 at D=3 ({elapsed:.0f}s)")
 
 
+#: sha256 of the criterion-9 density report
+DETERMINISM_REPORT_SHA256 = "75624e8f957f8862729de63c0afd8e4e1e09510765071b00dc4773fe7d244887"
+
+
 def test_criterion_9_determinism():
     config = ExperimentConfig(
         q=2, degree_bounds=(1,), samples_per_degree=4, seed="determinism",
@@ -254,6 +259,7 @@ def test_criterion_9_determinism():
     first = report_to_json(run_density(config))
     second = report_to_json(run_density(config))
     assert first == second
+    assert hashlib.sha256(first.encode()).hexdigest() == DETERMINISM_REPORT_SHA256
     table_hash = build_class_table().content_hash
     assert json.loads(first)["table_hash"] == table_hash
     assert build_class_table.__wrapped__().content_hash == table_hash

@@ -60,13 +60,13 @@ def test_cli_verify_single_degree(tmp_path, capsys):
 
 #: sha256 of the `verify -d N` report for each degree
 VERIFY_REPORT_SHA256 = {
-    1: "78e70957d812077d4c108f18f848b60641c581a2160e3b3e0ce5a0832e64fb5b",
-    2: "c26d794e39e4b8aa8b042c7ad210c6b0b953e18156b8884771fc6ea73833fdc4",
-    3: "97ab4b9a1ee906060f0223b0ba55f494f906a5165d7c9651ef2d793be6ab725b",
-    4: "1ef5fc8197d96fb312f8109a6cc94db3a0c1dc6f082e94e80c751ea90fd21e00",
-    5: "cace285a6263b2dbd03d9372ac4eea116f27d7ff17ec132b81c020f228d3ddcb",
-    6: "c500e380a6839635393de525aa9e784f6e60638c0124e572ce56756a08b6b892",
-    7: "1bc362aba6c1274848cf5d8913f80c69032260fff14a1e567658dbed46d30220",
+    1: "baec6d0f93507d8848fef83975aefc803fddfeb9ed1b0f9a244ef101939c813c",
+    2: "6b6015b5f7be867baebbe3279d8b6eba4982af492507a66dd9ff2169216b2085",
+    3: "678e9a50d52746c57316606e61282a4ffcb171182ddf839698ea872fa73954f8",
+    4: "00c949811dde6f8c96ca2af503edb48a91d5bd4ac181986bfb1266a2b0855759",
+    5: "915b1e5d4c70abc4b6ba47d146704cb6c509ff3e8e78e5a9297eb5ca1a00c615",
+    6: "6ec67771b24b8d27abe56976656afb07a73026e26ec8e8730e39b37c4f55f6bf",
+    7: "5cfdcdb9a01e52c467e629916f736d29750e6c653666fb21d5485cf48eaf4404",
 }
 
 
@@ -85,6 +85,9 @@ def test_cli_verify_computes_only_the_degree_asked_for(degree, tmp_path, monkeyp
     out = tmp_path / "verify.json"
     assert main(["verify", "-d", str(degree), "--json", str(out)]) == 0
     assert asked == [(degree,)]
+    # every degree-N check verify_table1 computes reaches the report
+    claims = [c["claim"] for c in json.loads(out.read_text())["checks"]]
+    assert f"W generators preserve the degree-{degree} labels" in claims
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_REPORT_SHA256[degree]
 
 
@@ -115,6 +118,45 @@ def test_cli_surface_end_to_end(tmp_path):
     assert surfaces[1]["splitting_degree"] == 2
     assert surfaces[2]["smoothness"]["status"] == "not_smooth"
     assert surfaces[2]["smoothness"]["witness"] is not None
+
+
+#: one surface per line: Fermat over GF(7) and GF(2), the GF(7) cone, the
+#: three planes xyz over GF(7) (reducible, so its report carries
+#: `trace_error`), a cubic over GF(9) and a cubic over GF(2)[u]
+PINNED_SURFACES = (
+    f"7 1 : {FERMAT}\n"
+    f"2 1 : {FERMAT}\n"
+    "7 1 : 1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,1,0,0,0\n"
+    "7 1 : 0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n"
+    "3 2 : 1,5,0,2,7,0,3,0,8,1,4,0,6,2,0,5,1,3,0,7\n"
+    "2 1 : u,1,0,u^2+1,0,1,0,0,u,1,1,0,1,0,u+1,0,1,1,0,u\n"
+)
+PINNED_SURFACE_REPORT_SHA256 = "5d6e2df1b3385fde7c4c666a6b9a2eb2247d5a752b93beceabc1e7770c630c2e"
+
+
+def test_cli_surface_report_bytes_are_pinned(tmp_path):
+    src = tmp_path / "in.txt"
+    src.write_text(PINNED_SURFACES)
+    out = tmp_path / "report.json"
+    assert main(["surface", str(src), "--json", str(out),
+                 "--budget-points", "300000", "--budget-lines", "100000000"]) == 0
+    report = json.loads(out.read_text())
+    assert "trace_error" in report["surfaces"][3]
+    assert report["surfaces"][5]["kind"] == "function-field"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SURFACE_REPORT_SHA256
+
+
+def test_cli_surface_line_budget_is_q_to_the_fourth(tmp_path):
+    # a line scan over GF(7) costs 7^4 = 2401 row pairs
+    src = tmp_path / "fermat7.txt"
+    src.write_text(f"7 1 : {FERMAT}\n")
+    out = tmp_path / "report.json"
+    assert main(["surface", str(src), "--json", str(out), "--budget-lines", "2401"]) == 0
+    surface = json.loads(out.read_text())["surfaces"][0]
+    assert surface["rational_lines"] == 27
+    assert surface["smoothness"]["status"] == "smooth_certified"
+    assert main(["surface", str(src), "--json", str(out), "--budget-lines", "2400"]) == 0
+    assert json.loads(out.read_text())["surfaces"][0]["rational_lines"] is None
 
 
 def test_cli_surface_bad_file(tmp_path, capsys):

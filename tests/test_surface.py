@@ -103,6 +103,13 @@ def test_count_points_budget():
         count_points(CubicForm.fermat(F7), budget=10)
 
 
+def test_line_budget_is_q_to_the_fourth():
+    # the line gate is q^4 <= budget, as for the callers that skip a level
+    with pytest.raises(BudgetExceeded):
+        lines_on_surface(CubicForm.fermat(F7), budget=2400)
+    assert len(lines_on_surface(CubicForm.fermat(F7), budget=2401)) == 27
+
+
 def test_fermat_lines():
     assert len(lines_on_surface(CubicForm.fermat(F7))) == 27
     assert len(lines_on_surface(CubicForm.fermat(F2))) == 3

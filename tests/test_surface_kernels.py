@@ -1,4 +1,5 @@
-"""Cross-checks of the vectorized surface kernels against slow references.
+"""Cross-checks of the vectorized surface kernels against slow references,
+and the per-form memo: one point scan per form and extension.
 
 Each kernel is compared, exhaustively over GF(2), GF(3), GF(4), GF(5), GF(7)
 and GF(9), with a straightforward implementation: `CubicForm.evaluate` at
@@ -15,19 +16,23 @@ import numpy as np
 import pytest
 
 from delpezzo import surface
-from delpezzo.gf import field
+from delpezzo.certify import build_class_table
+from delpezzo.gf import embed, field
 from delpezzo.surface import (
     MONOMIALS,
     CubicForm,
     LineInP3,
     _eval_terms_batch,
-    _form_terms,
     _strata,
+    NotSmoothOrBadReduction,
     count_points,
+    frobenius_class,
     line_intersection_labels,
     lines_on_surface,
     singular_point,
+    smoothness_certificate,
     tables,
+    trace_sequence,
 )
 
 FIELDS = [field(2), field(3), field(2, 2), field(5), field(7), field(3, 2)]
@@ -93,7 +98,7 @@ def test_eval_terms_batch_matches_evaluate_everywhere(fs):
     tab = tables(fs)
     pts = projective_points(fs) + [(0, 0, 0, 0)]  # every pattern of zeros
     for form in seeded_forms(fs):
-        terms = _form_terms(form)
+        terms = form.terms
         arrays = [np.array([p[v] for p in pts], dtype=np.int64) for v in range(4)]
         got = _eval_terms_batch(tab, terms, arrays)
         assert got.tolist() == [slow_value(form, p) for p in pts]
@@ -127,14 +132,13 @@ def strata_points(q):
 @pytest.mark.parametrize("fs", FIELDS, ids=FIELD_IDS)
 def test_point_scans_match_brute_force(fs, monkeypatch):
     points = projective_points(fs)
-    forms = seeded_forms(fs)
     for chunk in (surface.POINT_CHUNK, 5):
         monkeypatch.setattr(surface, "POINT_CHUNK", chunk)
         assert strata_points(fs.order) == points
-        for form in forms:
+        for form in seeded_forms(fs):  # fresh forms: each form scans once
             zeros = [p for p in points if slow_value(form, p) == 0]
             assert count_points(form) == len(zeros)
-            grads = form.gradient()
+            grads = [[(fs.from_int(c), e) for c, e in g] for g in form.gradient_terms]
             singular = [p for p in zeros if all(slow_eval(fs, g, p) == 0 for g in grads)]
             assert singular_point(form, max_extension=1) == ((1, singular[0]) if singular else None)
 
@@ -148,7 +152,7 @@ def old_lines_on_surface(form):
     fs = form.field
     q = fs.order
     tab = tables(fs)
-    terms = [(enc, tuple(v for v, mult in enumerate(e) for _ in range(mult))) for enc, e in _form_terms(form)]
+    terms = [(enc, tuple(v for v, mult in enumerate(e) for _ in range(mult))) for enc, e in form.terms]
 
     def evaluate(coords):
         acc = np.zeros(len(coords[0]), dtype=np.int64)
@@ -266,3 +270,77 @@ def test_line_intersection_labels_match_elimination(fs):
             want[a, b] = want[b, a] = int(old_meets(lines[a], lines[b]))
         assert line_intersection_labels(lines).tolist() == want.tolist()
     assert line_intersection_labels([]).shape == (0, 0)
+
+
+# -- the per-form memo --------------------------------------------------------
+
+#: the budgets of the `surface` command test in test_cli.py
+POINT_BUDGET = 300_000
+LINE_BUDGET = 10**8
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the message of the NotSmoothOrBadReduction it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except NotSmoothOrBadReduction as exc:
+        return str(exc)
+
+
+def traces_of(form):
+    return outcome(trace_sequence, form, 6, budget=POINT_BUDGET)
+
+
+def evidence_of(form, table, verdict):
+    return outcome(frobenius_class, form, table, point_budget=POINT_BUDGET,
+                   line_budget=LINE_BUDGET, verdict=verdict)
+
+
+def analyse(form, table):
+    """The `surface` command's sequence on one form."""
+    verdict = smoothness_certificate(form, point_budget=POINT_BUDGET, line_budget=LINE_BUDGET)
+    return verdict, traces_of(form), evidence_of(form, table, verdict)
+
+
+@pytest.mark.parametrize("fs", [field(2), field(5)], ids=repr)
+def test_one_point_scan_and_one_extension_per_level(fs, monkeypatch):
+    table = build_class_table()
+    scans, builds = [], []
+    strata, embed = surface._strata, surface.embed
+
+    def counting_strata(q):
+        scans.append(q)
+        return strata(q)
+
+    def counting_embed(src, dst):
+        builds.append(dst.order)
+        return embed(src, dst)
+
+    monkeypatch.setattr(surface, "_strata", counting_strata)
+    monkeypatch.setattr(surface, "embed", counting_embed)
+    verdict, traces, evidence = analyse(CubicForm.fermat(fs), table)
+    assert verdict.status == surface.SMOOTH_CERTIFIED and evidence.pinned
+    levels = [fs.order**m for m in range(1, 7) if fs.order ** (3 * m) <= POINT_BUDGET]
+    assert len(traces.values) == len(levels) >= 2
+    assert sorted(scans) == levels
+    assert sorted(builds) == sorted(set(builds)) and set(levels[1:]) <= set(builds)
+
+
+@pytest.mark.parametrize("fs", [field(2), field(3)], ids=repr)
+def test_memo_does_not_change_results(fs):
+    table = build_class_table()
+    for form in seeded_forms(fs):
+        verdict = analyse(form, table)[0]
+        for m in (2, 3):
+            lift = embed(fs, field(fs.p, fs.k * m))
+            assert form.extend(m) is form.extend(m)
+            assert form.extend(m).coeffs == tuple(lift(c) for c in form.coeffs)
+        fresh = (traces_of(CubicForm(fs, form.coeffs)),
+                 evidence_of(CubicForm(fs, form.coeffs), table, verdict))
+        assert (traces_of(form), evidence_of(form, table, verdict)) == fresh
+        # frobenius_class before trace_sequence
+        other = CubicForm(fs, form.coeffs)
+        evidence = evidence_of(other, table, verdict)
+        assert (traces_of(other), evidence) == fresh
+        if verdict.status != surface.NOT_SMOOTH:
+            assert evidence_of(form, table, None) == evidence_of(CubicForm(fs, form.coeffs), table, None)
