@@ -103,9 +103,8 @@ def _place_root(place_coeffs: tuple, base: FieldSpec) -> tuple[FieldSpec, Elemen
     place = UniPoly(base, place_coeffs)
     target = field(base.p, base.k * place.degree)
     lift = embed(base, target)
-    for n in range(target.order):
-        x = target.from_int(n)
-        if target.is_zero(place.evaluate(x, into=lift)):
+    for x in target.elements():
+        if place.evaluate(x, into=lift) == 0:
             return target, x
     raise RuntimeError("unreachable: a degree-s irreducible has a root in GF(q^s)")
 
@@ -116,7 +115,7 @@ def specialize(form: FunctionFieldCubic, place: UniPoly) -> CubicForm:
     target, root = _place_root(place.coeffs, form.base)
     lift = embed(form.base, target)
     coeffs = tuple(c.evaluate(root, into=lift) for c in form.coeffs)
-    if all(target.is_zero(c) for c in coeffs):
+    if not any(coeffs):
         raise BadPlaceError(f"all coefficients vanish at place {place.format()}")
     return CubicForm(target, coeffs)
 
@@ -155,6 +154,10 @@ class ExperimentConfig:
             raise ValueError("q must be prime")
         if self.samples_per_degree < 0 or self.max_place_degree < 1 or self.max_places < 1:
             raise ValueError("budgets must be positive")
+        if any(d < 0 for d in self.degree_bounds):
+            raise ValueError("degree bounds must be >= 0")
+        if self.min_usable_places < 1:
+            raise ValueError("min_usable_places must be >= 1")
         if self.point_budget < self.q**3:
             raise ValueError("point budget too small to count over the base field")
 

@@ -3,9 +3,15 @@
 Every field is an extension of its prime field: GF(p^k) = F_p[x]/(m) where m
 is the lexicographically least monic irreducible of degree k (counter order:
 the coefficient vector read as a base-p integer, constant digit least
-significant).  Elements are coordinate tuples over F_p of length k; the
-integer encoding of an element is that same base-p counter value, which fixes
-a deterministic total order on each field.
+significant).  An element is its counter encoding: the Python int whose
+base-p digits are its coordinates over F_p, constant digit least significant,
+which fixes a deterministic total order on each field.
+
+Sums are digit-wise (XOR in characteristic 2).  Products, powers and inverses
+read the field's log/exp tables (`FieldSpec.tables`, built on first use from
+the least primitive element, up to order TABLE_FIELD_CAP); the same tables
+serve the vectorized kernels of `surface`.  Digit-polynomial arithmetic
+(`_pmul`, `_pmod`) is left to the modulus search and the table build.
 
 Cross-field comparisons always go through explicit embeddings (the least root
 of the source modulus in the destination), never through modulus choices.
@@ -14,12 +20,16 @@ of the source modulus in the destination), never through modulus choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
-Element = tuple[int, ...]
+import numpy as np
+
+Element = int
 
 DEFAULT_FIELD_SIZE_CAP = 2**20
+#: the largest field with arithmetic tables (EXP holds about 17 q entries)
+TABLE_FIELD_CAP = 2**16
 
 
 class FieldSizeError(ValueError):
@@ -35,6 +45,15 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _digits(n: int, base: int, length: int) -> list[int]:
+    """The `length` least significant base-`base` digits of n, lowest first."""
+    out = []
+    for _ in range(length):
+        n, r = divmod(n, base)
+        out.append(r)
+    return out
 
 
 # -- dense polynomial arithmetic over the prime field (int coefficient lists,
@@ -110,6 +129,56 @@ def _prime_poly_irreducible(coeffs: list[int], p: int) -> bool:
     return True
 
 
+class _Tables:
+    """Log/exp tables of one field, for scalar and vectorized arithmetic on
+    encodings.
+
+    A product of up to four factors is EXP[sum of their LOGs]: LOG[0] is a
+    sentinel above every sum of four nonzero logs (at most 4(q-2)), and EXP is
+    zero from the sentinel on, through four sentinels plus q, so any product
+    with a zero factor lands in the zero pad.  NEG maps an encoding to that of
+    its negative; in odd characteristic COORDS holds the digits of every
+    encoding and PPOW the powers of p that fold digits back into encodings."""
+
+    def __init__(self, fs: FieldSpec):
+        if fs.order > TABLE_FIELD_CAP:
+            raise FieldSizeError(f"no arithmetic tables above order {TABLE_FIELD_CAP}")
+        self.fs = fs
+        q, p = fs.order, fs.p
+        modulus = list(fs.modulus)
+        # the least encoding from 2 on of order q - 1 (1 in GF(2)), and its powers
+        primes = [ell for ell in range(2, q) if (q - 1) % ell == 0 and is_prime(ell)]
+        candidates = (_trim(_digits(enc, p, fs.k)) for enc in range(2, q))
+        gen = next((g for g in candidates
+                    if all(_ppowmod(g, (q - 1) // ell, modulus, p) != [1] for ell in primes)), [1])
+        cycle, e = [], [1]
+        for _ in range(q - 1):
+            cycle.append(sum(d * p**i for i, d in enumerate(e)))
+            e = _pmod(_pmul(e, gen, p), modulus, p)
+        zero_log = 4 * (q - 1)
+        self.LOG = np.full(q, zero_log, dtype=np.int64)
+        self.LOG[cycle] = np.arange(q - 1)
+        self.EXP = np.zeros(4 * zero_log + q, dtype=np.int64)
+        self.EXP[:zero_log] = np.tile(cycle, 4)
+        encodings = np.arange(q, dtype=np.int64)
+        if p == 2:
+            self.COORDS = None
+            self.PPOW = None
+            self.NEG = encodings
+        else:
+            self.PPOW = p ** np.arange(fs.k, dtype=np.int64)
+            self.COORDS = encodings[:, None] // self.PPOW % p
+            self.NEG = (-self.COORDS % p) @ self.PPOW
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.EXP[self.LOG[a] + self.LOG[b]]
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.COORDS is None:
+            return np.bitwise_xor(a, b)
+        return ((self.COORDS[a] + self.COORDS[b]) % self.fs.p) @ self.PPOW
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """GF(p^k) with a fixed monic modulus over F_p (constant term first)."""
@@ -122,69 +191,74 @@ class FieldSpec:
     def order(self) -> int:
         return self.p**self.k
 
+    @cached_property
+    def tables(self) -> _Tables:
+        """The field's log/exp tables, built on the first product."""
+        return _Tables(self)
+
     # -- encoding ------------------------------------------------------------
 
     def zero(self) -> Element:
-        return (0,) * self.k
+        return 0
 
     def one(self) -> Element:
-        return (1,) + (0,) * (self.k - 1)
+        return 1
 
     def from_int(self, n: int) -> Element:
-        """Counter decoding: base-p digits, constant digit least significant."""
+        """Check that n encodes an element of this field."""
         if not 0 <= n < self.order:
             raise ValueError(f"encoding {n} out of range for field of order {self.order}")
-        digits = []
-        for _ in range(self.k):
-            n, r = divmod(n, self.p)
-            digits.append(r)
-        return tuple(digits)
+        return n
 
     def to_int(self, e: Element) -> int:
-        n = 0
-        for d in reversed(e):
-            n = n * self.p + d
-        return n
+        """The counter encoding of e, which is e itself."""
+        return e
 
     def scalar(self, c: int) -> Element:
         """The prime-field element c (mod p) inside this field."""
-        return (c % self.p,) + (0,) * (self.k - 1)
+        return c % self.p
 
     def elements(self) -> Iterator[Element]:
-        for n in range(self.order):
-            yield self.from_int(n)
+        return iter(range(self.order))
 
     # -- arithmetic ----------------------------------------------------------
 
-    def add(self, a: Element, b: Element) -> Element:
+    def _digitwise(self, a: Element, b: Element, sign: int) -> Element:
+        """a + sign * b, coordinate by coordinate mod p."""
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        out, place = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + sign * y) % p * place
+            place *= p
+        return out
+
+    def add(self, a: Element, b: Element) -> Element:
+        return a ^ b if self.p == 2 else self._digitwise(a, b, 1)
 
     def sub(self, a: Element, b: Element) -> Element:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return a ^ b if self.p == 2 else self._digitwise(a, b, -1)
 
     def neg(self, a: Element) -> Element:
-        p = self.p
-        return tuple(-x % p for x in a)
+        return a if self.p == 2 else self._digitwise(0, a, -1)
 
     def mul(self, a: Element, b: Element) -> Element:
-        prod = _pmod(_pmul(list(a), list(b), self.p), list(self.modulus), self.p)
-        return tuple(prod + [0] * (self.k - len(prod)))
+        tab = self.tables
+        return int(tab.EXP[tab.LOG[a] + tab.LOG[b]])
 
     def pow(self, a: Element, e: int) -> Element:
         if e < 0:
             a, e = self.inv(a), -e
-        result = self.one()
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        if e == 0:
+            return 1
+        if a == 0:
+            return 0
+        tab = self.tables
+        return int(tab.EXP[int(tab.LOG[a]) * e % (self.order - 1)])
 
     def inv(self, a: Element) -> Element:
-        if a == self.zero():
+        if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.order - 2)
 
@@ -192,7 +266,7 @@ class FieldSpec:
         return self.pow(a, self.p)
 
     def is_zero(self, a: Element) -> bool:
-        return all(x == 0 for x in a)
+        return a == 0
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
@@ -208,12 +282,7 @@ def field(p: int, k: int = 1, size_cap: int = DEFAULT_FIELD_SIZE_CAP) -> FieldSp
     if p**k > size_cap:
         raise FieldSizeError(f"field of order {p}^{k} exceeds the cap {size_cap}")
     for counter in range(p**k):
-        coeffs = []
-        n = counter
-        for _ in range(k):
-            n, r = divmod(n, p)
-            coeffs.append(r)
-        coeffs.append(1)  # monic
+        coeffs = _digits(counter, p, k) + [1]  # monic
         if _prime_poly_irreducible(coeffs, p):
             return FieldSpec(p, k, tuple(coeffs))
     raise RuntimeError("unreachable: an irreducible of every degree exists")
@@ -228,14 +297,8 @@ class Embedding:
     root: Element
 
     def __call__(self, e: Element) -> Element:
-        dst = self.dst
-        out = dst.zero()
-        power = dst.one()
-        for coord in e:
-            if coord:
-                out = dst.add(out, dst.mul(dst.scalar(coord), power))
-            power = dst.mul(power, self.root)
-        return out
+        """The coordinate polynomial sum_i e_i x^i of e, evaluated at root."""
+        return UniPoly.make(self.dst, _digits(e, self.src.p, self.src.k)).evaluate(self.root)
 
 
 @lru_cache(maxsize=None)
@@ -245,26 +308,12 @@ def embed(src: FieldSpec, dst: FieldSpec) -> Embedding:
         raise ValueError("embeddings require equal characteristic")
     if dst.k % src.k != 0:
         raise ValueError(f"no embedding: {src.k} does not divide {dst.k}")
-    if src == dst:
-        # identity: the class of x is its own canonical root
-        return Embedding(src, dst, _x_element(dst))
-    for n in range(dst.order):
-        x = dst.from_int(n)
-        acc = dst.zero()
-        power = dst.one()
-        for c in src.modulus:
-            if c:
-                acc = dst.add(acc, dst.mul(dst.scalar(c), power))
-            power = dst.mul(power, x)
-        if dst.is_zero(acc):
+    # the modulus digits are prime-field elements, encoded alike in dst
+    modulus = UniPoly(dst, src.modulus)
+    for x in dst.elements():
+        if modulus.evaluate(x) == 0:
             return Embedding(src, dst, x)
     raise RuntimeError("unreachable: the modulus splits in any field of divisible degree")
-
-
-def _x_element(fs: FieldSpec) -> Element:
-    if fs.k == 1:
-        return fs.one()
-    return (0, 1) + (0,) * (fs.k - 2)
 
 
 # -- univariate polynomials over an arbitrary FieldSpec ----------------------
@@ -281,7 +330,7 @@ class UniPoly:
     @staticmethod
     def make(fs: FieldSpec, coeffs: list[Element]) -> "UniPoly":
         coeffs = list(coeffs)
-        while coeffs and fs.is_zero(coeffs[-1]):
+        while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return UniPoly(fs, tuple(coeffs))
 
@@ -303,29 +352,28 @@ class UniPoly:
         return not self.coeffs
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
+        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def format(self) -> str:
-        return ",".join(str(self.field.to_int(c)) for c in self.coeffs)
+        return ",".join(str(c) for c in self.coeffs)
 
     def evaluate(self, x: Element, into: Embedding | None = None) -> Element:
         """Horner evaluation at x; x lives in `into.dst` when a coefficient
         embedding is supplied."""
         fs = self.field if into is None else into.dst
         lift: Callable[[Element], Element] = (lambda c: c) if into is None else into
-        acc = fs.zero()
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = fs.mul(acc, x)
-            acc = fs.add(acc, lift(c))
+            acc = fs.add(fs.mul(acc, x), lift(c))
         return acc
 
     def mul(self, other: "UniPoly") -> "UniPoly":
         fs = self.field
         if self.is_zero() or other.is_zero():
             return UniPoly(fs, ())
-        out = [fs.zero()] * (self.degree + other.degree + 1)
+        out = [0] * (self.degree + other.degree + 1)
         for i, a in enumerate(self.coeffs):
-            if fs.is_zero(a):
+            if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = fs.add(out[i + j], fs.mul(a, b))
@@ -341,7 +389,7 @@ class UniPoly:
             shift = len(a) - 1 - dm
             for i, y in enumerate(m.coeffs):
                 a[shift + i] = fs.sub(a[shift + i], fs.mul(c, y))
-            while a and fs.is_zero(a[-1]):
+            while a and a[-1] == 0:
                 a.pop()
         return UniPoly(fs, tuple(a))
 
@@ -360,7 +408,7 @@ class UniPoly:
 
     def powmod(self, e: int, m: "UniPoly") -> "UniPoly":
         fs = self.field
-        result = UniPoly.make(fs, [fs.one()])
+        result = UniPoly(fs, (1,))
         base = self.mod(m)
         while e:
             if e & 1:
@@ -377,8 +425,7 @@ class UniPoly:
             return False
         if s == 1:
             return True
-        u = UniPoly.make(fs, [fs.zero(), fs.one()])
-        xq = u
+        xq = UniPoly(fs, (0, 1))
         for _ in range(s // 2):
             xq = xq.powmod(fs.order, self)
             diff = xq_minus_u(xq, fs)
@@ -388,8 +435,8 @@ class UniPoly:
 
 
 def xq_minus_u(xq: UniPoly, fs: FieldSpec) -> UniPoly:
-    coeffs = list(xq.coeffs) + [fs.zero()] * max(0, 2 - len(xq.coeffs))
-    coeffs[1] = fs.sub(coeffs[1], fs.one())
+    coeffs = list(xq.coeffs) + [0] * max(0, 2 - len(xq.coeffs))
+    coeffs[1] = fs.sub(coeffs[1], 1)
     return UniPoly.make(fs, coeffs)
 
 
@@ -401,13 +448,7 @@ def monic_irreducibles(fs: FieldSpec, degree: int, cap: int = DEFAULT_FIELD_SIZE
         raise FieldSizeError(f"enumerating q^{degree} = {q**degree} polynomials exceeds cap")
     out = []
     for counter in range(q**degree):
-        encodings = []
-        n = counter
-        for _ in range(degree):
-            n, r = divmod(n, q)
-            encodings.append(r)
-        encodings.append(1)
-        f = UniPoly.from_ints(fs, encodings)
+        f = UniPoly.from_ints(fs, _digits(counter, q, degree) + [1])
         if f.is_irreducible():
             out.append(f)
     return out

@@ -1,8 +1,9 @@
 """Cubic surfaces over finite fields: points, lines, traces, and Frobenius data.
 
-A surface is a nonzero quaternary cubic form, 20 coefficients in graded-lex
-monomial order with x > y > z > w.  Scans are vectorized over integer-encoded
-field elements in log domain: a term c x^a y^b z^c w^d is one gather
+A surface is a nonzero quaternary cubic form, 20 coefficients (field elements,
+that is counter encodings) in graded-lex monomial order with x > y > z > w.
+Scans are vectorized over encodings in log domain, with the field's own
+tables (`FieldSpec.tables`): a term c x^a y^b z^c w^d is one gather
 EXP[LOG c + a LOG x + b LOG y + ...] from an exponent table that is zero past
 the sentinel LOG 0, and terms add by XOR in characteristic 2, in prime-field
 coordinates otherwise.  Point scans take F as a cubic in w whose coefficients
@@ -21,18 +22,19 @@ A `CubicForm` builds each extension, its encoded terms and one point scan
 (the point count and the first singular point) once, and `count_points` and
 `singular_point` are views of that scan.  A point scan over GF(q^m) needs
 q^(3m) within the point budget; a line scan needs q^(4m) within the line
-budget and q^m within the field bound and LINE_ENUMERATION_FIELD_CAP.
+budget and q^m within the field bound and LINE_ENUMERATION_FIELD_CAP, the
+order up to which fields have tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .gf import Element, FieldSpec, embed, field
+from .gf import TABLE_FIELD_CAP, Element, FieldSpec, embed, field
 from .incidence import find_isomorphism, incidence_graph
 from .lattice import DegreeContext
 from .permgroup import fixed_points_of_power
@@ -45,8 +47,8 @@ MONOMIALS: tuple[tuple[int, int, int, int], ...] = tuple(
     )
 )
 
-LINE_ENUMERATION_FIELD_CAP = 2**16
-TABLE_FIELD_CAP = 2**16
+#: line scans need the field's arithmetic tables
+LINE_ENUMERATION_FIELD_CAP = TABLE_FIELD_CAP
 
 #: permissive default work budgets; drivers usually pass something smaller
 DEFAULT_POINT_BUDGET = 10**9
@@ -63,79 +65,6 @@ class BudgetExceeded(RuntimeError):
     """The operation would overrun the configured work budget."""
 
 
-# -- vectorized field arithmetic ---------------------------------------------
-
-
-def _primitive_element(fs: FieldSpec) -> Element:
-    n = fs.order - 1
-    primes = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
-    for enc in range(2, fs.order):
-        g = fs.from_int(enc)
-        if all(fs.pow(g, n // ell) != fs.one() for ell in primes):
-            return g
-    return fs.from_int(1)  # GF(2): the only unit
-
-
-class _Tables:
-    """Branch-free vectorized arithmetic on integer-encoded field elements.
-
-    A product of up to four factors is EXP[sum of their LOGs]: LOG[0] is a
-    sentinel above every sum of four nonzero logs (at most 4(q-2)), and EXP is
-    zero from the sentinel on, through four sentinels plus q, so any product
-    with a zero factor lands in the zero pad."""
-
-    def __init__(self, fs: FieldSpec):
-        if fs.order > TABLE_FIELD_CAP:
-            raise BudgetExceeded(f"no arithmetic tables above order {TABLE_FIELD_CAP}")
-        self.fs = fs
-        q = fs.order
-        self.q = q
-        gen = _primitive_element(fs)
-        zero_log = 4 * (q - 1)
-        cycle = np.zeros(q - 1, dtype=np.int64)
-        log = np.full(q, zero_log, dtype=np.int64)
-        e = fs.one()
-        for t in range(q - 1):
-            enc = fs.to_int(e)
-            cycle[t] = enc
-            log[enc] = t
-            e = fs.mul(e, gen)
-        exp = np.zeros(4 * zero_log + q, dtype=np.int64)
-        exp[:zero_log] = np.tile(cycle, 4)
-        self.EXP = exp
-        self.LOG = log
-        if fs.p == 2:
-            self.COORDS = None
-            self.PPOW = None
-        else:
-            self.COORDS = np.array([fs.from_int(n) for n in range(q)], dtype=np.int64)
-            self.PPOW = np.array([fs.p**i for i in range(fs.k)], dtype=np.int64)
-        self.NEG = np.array([fs.to_int(fs.neg(fs.from_int(n))) for n in range(q)], dtype=np.int64)
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.EXP[self.LOG[a] + self.LOG[b]]
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.COORDS is None:
-            return np.bitwise_xor(a, b)
-        return ((self.COORDS[a] + self.COORDS[b]) % self.fs.p) @ self.PPOW
-
-
-@lru_cache(maxsize=None)
-def tables(fs: FieldSpec) -> _Tables:
-    return _Tables(fs)
-
-
 # -- the surface --------------------------------------------------------------
 
 
@@ -150,7 +79,7 @@ class CubicForm:
     def __post_init__(self):
         if len(self.coeffs) != 20:
             raise ValueError("a quaternary cubic has exactly 20 coefficients")
-        if all(self.field.is_zero(c) for c in self.coeffs):
+        if not any(self.coeffs):
             raise ValueError("the zero form does not define a surface")
 
     @staticmethod
@@ -160,21 +89,17 @@ class CubicForm:
     @staticmethod
     def fermat(fs: FieldSpec) -> "CubicForm":
         """x^3 + y^3 + z^3 + w^3."""
-        one = fs.one()
-        cube_positions = [MONOMIALS.index(e) for e in [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]]
-        coeffs = [fs.zero()] * 20
-        for pos in cube_positions:
-            coeffs[pos] = one
-        return CubicForm(fs, tuple(coeffs))
+        cubes = [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]
+        return CubicForm(fs, tuple(int(e in cubes) for e in MONOMIALS))
 
     def coefficient_encodings(self) -> list[int]:
-        return [self.field.to_int(c) for c in self.coeffs]
+        return list(self.coeffs)
 
     def evaluate(self, point: tuple[Element, Element, Element, Element]) -> Element:
         fs = self.field
-        acc = fs.zero()
+        acc = 0
         for c, e in zip(self.coeffs, MONOMIALS):
-            if fs.is_zero(c):
+            if c == 0:
                 continue
             term = c
             for v, mult in enumerate(e):
@@ -198,8 +123,7 @@ class CubicForm:
     @cached_property
     def terms(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """(encoded coefficient, exponents) of every nonzero term."""
-        fs = self.field
-        return tuple((fs.to_int(c), e) for c, e in zip(self.coeffs, MONOMIALS) if not fs.is_zero(c))
+        return tuple((c, e) for c, e in zip(self.coeffs, MONOMIALS) if c)
 
     @cached_property
     def gradient_terms(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
@@ -209,13 +133,11 @@ class CubicForm:
         for v in range(4):
             terms = []
             for c, e in zip(self.coeffs, MONOMIALS):
-                if e[v] == 0 or fs.is_zero(c):
-                    continue
-                scaled = tuple(e[v] * x % fs.p for x in c)
-                if fs.is_zero(scaled):
+                scaled = fs.mul(c, e[v] % fs.p)
+                if scaled == 0:
                     continue
                 lowered = tuple(x - 1 if i == v else x for i, x in enumerate(e))
-                terms.append((fs.to_int(scaled), lowered))
+                terms.append((scaled, lowered))
             out.append(tuple(terms))
         return tuple(out)
 
@@ -223,7 +145,7 @@ class CubicForm:
     def _point_scan(self) -> tuple[int, tuple[int, int, int, int] | None]:
         """One pass over P^3(F_q): the number of points of the surface and
         the encodings of its first singular point in counter order, or None."""
-        tab = tables(self.field)
+        tab = self.field.tables
         pts = _zeros(tab, self.terms, _strata(self.field.order))
         singular = np.ones(len(pts[3]), dtype=bool)
         for g_terms in self.gradient_terms:
@@ -232,7 +154,7 @@ class CubicForm:
         return len(pts[3]), (tuple(int(p[hits[0]]) for p in pts) if len(hits) else None)
 
 
-def _eval_terms_batch(tab: _Tables, terms: list[tuple[int, tuple[int, ...]]], coords: list) -> np.ndarray:
+def _eval_terms_batch(tab, terms: list[tuple[int, tuple[int, ...]]], coords: list) -> np.ndarray:
     """Evaluate sum of c * prod coords[v]^e_v; each coordinate is an encoded
     scalar or a 1-D array, all arrays of one length (length 1 if none).
     The coefficient and the scalar coordinates fold into an offset into EXP
@@ -262,7 +184,7 @@ def _eval_terms_batch(tab: _Tables, terms: list[tuple[int, tuple[int, ...]]], co
     return (acc % tab.fs.p) @ tab.PPOW
 
 
-def _eval_grid(tab: _Tables, terms, head: list, w: np.ndarray) -> np.ndarray:
+def _eval_grid(tab, terms, head: list, w: np.ndarray) -> np.ndarray:
     """The form at every pair of a head row (encoded X, Y, Z: scalars or
     arrays of one length) and a W in `w`, as a (rows, len(w)) array.
 
@@ -279,7 +201,7 @@ def _eval_grid(tab: _Tables, terms, head: list, w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _zeros(tab: _Tables, terms, chunks) -> list[np.ndarray]:
+def _zeros(tab, terms, chunks) -> list[np.ndarray]:
     """Encoded (X, Y, Z, W) arrays of the points of the (head, w) chunks
     where the form vanishes, in order."""
     parts = []
@@ -382,7 +304,7 @@ def lines_on_surface(
     q = fs.order
     if not _lines_fit(q, 1, budget):
         raise BudgetExceeded(f"line enumeration over order-{q} field exceeds budget {budget} or the field cap")
-    tab = tables(fs)
+    tab = fs.tables
     out: list[LineInP3] = []
 
     def polar_logs(rows, columns):
@@ -436,7 +358,7 @@ def line_intersection_labels(lines: list[LineInP3]) -> np.ndarray:
     n = len(lines)
     if n == 0:
         return np.full((0, 0), -1, dtype=np.int64)
-    tab = tables(lines[0].field)
+    tab = lines[0].field.tables
     r1 = np.array([line.row1 for line in lines], dtype=np.int64)
     r2 = np.array([line.row2 for line in lines], dtype=np.int64)
     logs = [

@@ -209,6 +209,18 @@ def test_cli_density_rejects_nonprime_q(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["-D", "-1", "-N", "1"],
+    ["-D", "1", "-N", "2", "--max-places", "1", "--min-usable-places", "0"],
+])
+def test_cli_density_bad_config_is_one_line(argv, capsys):
+    assert main(["density", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("configuration error: ") and "\n" not in err
+
+
 def test_cli_tables(tmp_path):
     out = tmp_path / "tables.json"
     assert main(["tables", "--json", str(out)]) == 0

@@ -147,6 +147,10 @@ def test_invalid_configs_rejected():
         ExperimentConfig(q=2, max_places=0).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(q=7, point_budget=10).validate()
+    with pytest.raises(ValueError):
+        ExperimentConfig(q=2, degree_bounds=(1, -1)).validate()
+    with pytest.raises(ValueError):
+        ExperimentConfig(q=2, min_usable_places=0).validate()
 
 
 def test_csv_round_trip():

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from delpezzo.gf import (
@@ -10,6 +11,108 @@ from delpezzo.gf import (
     is_prime,
     monic_irreducibles,
 )
+
+
+# -- a reference: elements as coordinate tuples, products by polynomial
+#    multiplication and reduction mod the field's modulus ----------------------
+
+
+def ref_decode(fs, n):
+    return tuple((n // fs.p**i) % fs.p for i in range(fs.k))
+
+
+def ref_encode(fs, t):
+    return sum(d * fs.p**i for i, d in enumerate(t))
+
+
+def ref_add(fs, a, b):
+    return tuple((x + y) % fs.p for x, y in zip(a, b))
+
+
+def ref_mul(fs, a, b):
+    p, m = fs.p, fs.modulus
+    prod = [0] * (2 * fs.k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(len(prod) - 1, fs.k - 1, -1):  # m is monic
+        c = prod[top]
+        for i, y in enumerate(m):
+            prod[top - fs.k + i] = (prod[top - fs.k + i] - c * y) % p
+    return tuple(prod[: fs.k])
+
+
+def ref_embed(src, dst, e):
+    """sum_i e_i r^i for the least root r of src's modulus in dst, all in
+    tuple arithmetic."""
+
+    def horner(coords, x):
+        acc = (0,) * dst.k
+        for c in reversed(coords):
+            acc = ref_add(dst, ref_mul(dst, acc, x), ref_decode(dst, c))
+        return acc
+
+    root = next(x for x in map(lambda n: ref_decode(dst, n), range(dst.order))
+                if not any(horner(src.modulus, x)))
+    return ref_encode(dst, horner(ref_decode(src, e), root))
+
+
+def test_vectorized_arithmetic_matches_field():
+    """Scalar and vectorized table arithmetic against the tuple reference, on
+    every pair of elements."""
+    for p, k in [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3)]:
+        fs = field(p, k)
+        els = list(range(fs.order))
+        pairs = list(itertools.product(els, repeat=2))
+        mul = {(a, b): ref_encode(fs, ref_mul(fs, ref_decode(fs, a), ref_decode(fs, b))) for a, b in pairs}
+        add = {(a, b): ref_encode(fs, ref_add(fs, ref_decode(fs, a), ref_decode(fs, b))) for a, b in pairs}
+        neg = [next(b for b in els if add[a, b] == 0) for a in els]
+        for a, b in pairs:
+            assert fs.mul(a, b) == mul[a, b]
+            assert fs.add(a, b) == add[a, b]
+            assert fs.sub(a, b) == add[a, neg[b]]
+        for a in els:
+            assert fs.neg(a) == neg[a]
+            if a:
+                assert mul[a, fs.inv(a)] == 1
+        # the vectorized operations of the surface kernels
+        tab = fs.tables
+        a, b = (x.ravel() for x in np.meshgrid(els, els, indexing="ij"))
+        assert tab.mul(a, b).tolist() == [mul[x, y] for x, y in zip(a.tolist(), b.tolist())]
+        assert tab.add(a, b).tolist() == [add[x, y] for x, y in zip(a.tolist(), b.tolist())]
+        assert tab.NEG.tolist() == neg
+
+
+@pytest.mark.parametrize("p,a,b", [(2, 1, 2), (2, 2, 4), (3, 1, 2), (2, 3, 6)])
+def test_embedding_matches_tuple_reference(p, a, b):
+    src, dst = field(p, a), field(p, b)
+    emb = embed(src, dst)
+    assert [emb(e) for e in range(src.order)] == [ref_embed(src, dst, e) for e in range(src.order)]
+
+
+def test_elements_are_python_ints():
+    from delpezzo.experiment import FunctionFieldCubic, places_up_to, specialize
+    from delpezzo.surface import CubicForm
+
+    for fs in (field(2, 3), field(3, 2)):
+        a, b = 5, 7
+        for x in (fs.add(a, b), fs.sub(a, b), fs.neg(a), fs.mul(a, b), fs.pow(a, 5),
+                  fs.pow(a, -2), fs.inv(a), fs.frobenius(a), fs.scalar(4), fs.from_int(3)):
+            assert type(x) is int
+        big = field(fs.p, 2 * fs.k)
+        assert all(type(embed(fs, big)(e)) is int for e in range(fs.order))
+        f = UniPoly.from_ints(fs, [1, 2, 3])
+        g = UniPoly.from_ints(fs, [4, 1])
+        for poly in (f.mul(g), f.mul(g).mod(f), f.monic(), f.gcd(g)):
+            assert all(type(c) is int for c in poly.coeffs)
+        assert type(f.evaluate(6)) is int
+        form = CubicForm.fermat(fs)
+        assert all(type(c) is int for c in form.extend(2).coeffs)
+    base = field(2)
+    coeffs = [UniPoly.from_ints(base, [1])] + [UniPoly.from_ints(base, [0, 1, 1])] * 19
+    cubic = FunctionFieldCubic(base, tuple(coeffs))
+    for place in places_up_to(base, 3):
+        assert all(type(c) is int for c in specialize(cubic, place).coeffs)
 
 
 def test_prime_field_basics():
@@ -35,13 +138,13 @@ def test_least_modulus_for_gf4():
 
 def test_gf4_multiplication():
     f4 = field(2, 2)
-    x, x1 = (0, 1), (1, 1)
+    x, x1 = 2, 3  # x and x + 1
     assert f4.mul(x, x1) == f4.one()
 
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        field(3).inv((0,))
+        field(3).inv(0)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1)])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from delpezzo.certify import build_class_table
-from delpezzo.gf import field
+from delpezzo import surface
+from delpezzo.gf import TABLE_FIELD_CAP, field
 from delpezzo.surface import (
     MONOMIALS,
     BudgetExceeded,
@@ -19,7 +20,6 @@ from delpezzo.surface import (
     singular_point,
     smoothness_certificate,
     splitting_degree,
-    tables,
     trace_sequence,
 )
 
@@ -46,20 +46,6 @@ def test_monomial_order_is_graded_lex():
 def test_zero_form_rejected():
     with pytest.raises(ValueError):
         CubicForm.from_ints(F2, [0] * 20)
-
-
-def test_vectorized_arithmetic_matches_field():
-    for fs in (F7, field(2, 3), field(3, 2)):
-        tab = tables(fs)
-        encodings = np.arange(fs.order, dtype=np.int64)
-        a, b = np.meshgrid(encodings, encodings, indexing="ij")
-        got_mul = tab.mul(a.ravel(), b.ravel())
-        got_add = tab.add(a.ravel(), b.ravel())
-        for i in range(fs.order):
-            for j in range(fs.order):
-                x, y = fs.from_int(i), fs.from_int(j)
-                assert got_mul[i * fs.order + j] == fs.to_int(fs.mul(x, y))
-                assert got_add[i * fs.order + j] == fs.to_int(fs.add(x, y))
 
 
 def test_count_points_fermat_f2_is_a_plane():
@@ -108,6 +94,16 @@ def test_line_budget_is_q_to_the_fourth():
     with pytest.raises(BudgetExceeded):
         lines_on_surface(CubicForm.fermat(F7), budget=2400)
     assert len(lines_on_surface(CubicForm.fermat(F7), budget=2401)) == 27
+
+
+def test_line_gate_stops_at_the_table_cap():
+    # one cap: the line gate refuses fields without tables instead of raising
+    assert surface.LINE_ENUMERATION_FIELD_CAP == TABLE_FIELD_CAP
+    assert surface._lines_fit(2, 16, 10**100, max_field=2**20)
+    assert not surface._lines_fit(2, 17, 10**100, max_field=2**20)
+    big = CubicForm.fermat(field(2, 17))
+    verdict = smoothness_certificate(big, point_budget=1, line_budget=10**100, max_line_field=2**20)
+    assert verdict.status == surface.UNDETERMINED and verdict.line_counts == {}
 
 
 def test_fermat_lines():

@@ -31,7 +31,6 @@ from delpezzo.surface import (
     lines_on_surface,
     singular_point,
     smoothness_certificate,
-    tables,
     trace_sequence,
 )
 
@@ -76,7 +75,7 @@ def projective_points(fs):
 
 
 def slow_eval(fs, terms, point):
-    """sum of c * prod x_v^e_v with the field's own tuple arithmetic."""
+    """sum of c * prod x_v^e_v with the field's scalar arithmetic."""
     x = [fs.from_int(c) for c in point]
     acc = fs.zero()
     for c, e in terms:
@@ -95,7 +94,7 @@ def slow_value(form, point):
 
 @pytest.mark.parametrize("fs", FIELDS, ids=FIELD_IDS)
 def test_eval_terms_batch_matches_evaluate_everywhere(fs):
-    tab = tables(fs)
+    tab = fs.tables
     pts = projective_points(fs) + [(0, 0, 0, 0)]  # every pattern of zeros
     for form in seeded_forms(fs):
         terms = form.terms
@@ -113,7 +112,7 @@ def test_eval_terms_batch_matches_evaluate_everywhere(fs):
 
 def test_log_tables_cover_four_zero_factors():
     for fs in FIELDS:
-        tab = tables(fs)
+        tab = fs.tables
         zero_log = int(tab.LOG[0])
         assert zero_log > 4 * (fs.order - 2)
         assert len(tab.EXP) >= 4 * zero_log + fs.order
@@ -151,7 +150,7 @@ def old_lines_on_surface(form):
     coefficients zero, each coefficient expanded term by term."""
     fs = form.field
     q = fs.order
-    tab = tables(fs)
+    tab = fs.tables
     terms = [(enc, tuple(v for v, mult in enumerate(e) for _ in range(mult))) for enc, e in form.terms]
 
     def evaluate(coords):
