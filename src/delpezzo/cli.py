@@ -32,11 +32,11 @@ from .experiment import (
     run_density,
     specialize,
 )
-from .gf import FieldSizeError, UniPoly, field, is_prime
+from .gf import TABLE_FIELD_CAP, FieldSizeError, UniPoly, field, is_prime
 from .surface import (
     BudgetExceeded,
     CubicForm,
-    NOT_SMOOTH,
+    SMOOTH_CERTIFIED,
     NotSmoothOrBadReduction,
     frobenius_class,
     smoothness_certificate,
@@ -137,14 +137,12 @@ def cmd_verify(args) -> int:
 
 
 def _analyze_finite_field_surface(form: CubicForm, table, args) -> dict:
-    verdict = smoothness_certificate(
-        form, point_budget=args.budget_points, line_budget=args.budget_lines
-    )
+    verdict = smoothness_certificate(form)
     report = {
         "field": {"p": form.field.p, "k": form.field.k},
         "coefficients": form.coefficient_encodings(),
         "smoothness": verdict.to_json(),
-        "rational_lines": verdict.line_counts.get(1),
+        "rational_lines": None,
         "table_hash": table.content_hash,
     }
     try:
@@ -153,20 +151,13 @@ def _analyze_finite_field_surface(form: CubicForm, table, args) -> dict:
     except NotSmoothOrBadReduction as exc:
         report["traces"] = None
         report["trace_error"] = str(exc)
-    if verdict.status != NOT_SMOOTH:
-        try:
-            ev = frobenius_class(
-                form,
-                table,
-                point_budget=args.budget_points,
-                line_budget=args.budget_lines,
-                verdict=verdict,
-            )
-            report["frobenius"] = ev.to_json()
-            report["splitting_degree"] = splitting_degree(ev, table)
-        except NotSmoothOrBadReduction as exc:
-            report["frobenius"] = None
-            report["frobenius_error"] = str(exc)
+    if verdict.status == SMOOTH_CERTIFIED:
+        # lines over every field with tables that the line budget allows
+        ev = frobenius_class(form, table, point_budget=args.budget_points, line_budget=args.budget_lines,
+                             max_line_field=TABLE_FIELD_CAP)
+        report["frobenius"] = ev.to_json()
+        report["rational_lines"] = ev.line_counts.get(1)
+        report["splitting_degree"] = splitting_degree(ev, table)
     return report
 
 
@@ -188,7 +179,7 @@ def _analyze_function_field_surface(form: FunctionFieldCubic, table, args) -> di
         entry.update(sub)
         entry["status"] = sub["smoothness"]["status"]
         per_place.append(entry)
-        if sub.get("frobenius") and sub["smoothness"]["status"] != NOT_SMOOTH:
+        if "frobenius" in sub:
             evidence.append(PlaceEvidence(label, tuple(sub["frobenius"]["class_ids"])))
     report = {
         "base_field": {"p": form.base.p, "k": form.base.k},
@@ -208,6 +199,14 @@ def cmd_surface(args) -> int:
         surfaces = read_surface_file(args.input)
     except SurfaceFileError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    # the field each line needs tables for; q^s > TABLE_FIELD_CAP for every
+    # q >= 2 once s passes the cap's bit length
+    s = min(args.max_place_degree, TABLE_FIELD_CAP.bit_length())
+    orders = [form.field.order if kind == "finite-field" else form.base.order**s for _, kind, form in surfaces]
+    if s < 1 or max(orders, default=1) > TABLE_FIELD_CAP:
+        print(f"surface: --max-place-degree must be >= 1, and there are no arithmetic tables above "
+              f"order {TABLE_FIELD_CAP} for a surface's GF(q) or its places' GF(q^s)", file=sys.stderr)
         return 2
     table = build_class_table()
     reports = []
@@ -269,7 +268,8 @@ def cmd_tables(args) -> int:
 
 def _add_budget_flags(sub, points_default: int, lines_default: int) -> None:
     sub.add_argument("--budget-points", type=int, default=points_default,
-                     help="max nominal point evaluations q^(3m) per trace level")
+                     help="max nominal point evaluations q^(3m) per point count "
+                          "(traces and Frobenius evidence; smoothness needs no budget)")
     sub.add_argument("--budget-lines", type=int, default=lines_default,
                      help="max nominal line patterns q^(4m) per enumeration")
 

@@ -17,6 +17,7 @@ recomputed independently and in any order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,14 +35,7 @@ from .certify import (
     subgroup_exclusion_certificate,
 )
 from .gf import Element, FieldSpec, UniPoly, embed, field, is_prime, monic_irreducibles
-from .surface import (
-    CubicForm,
-    FrobeniusEvidence,
-    NOT_SMOOTH,
-    NotSmoothOrBadReduction,
-    frobenius_class,
-    smoothness_certificate,
-)
+from .surface import NOT_SMOOTH, CubicForm, frobenius_class, smoothness_certificate
 
 
 class CounterRng:
@@ -187,11 +181,12 @@ class SampleOutcome:
     skipped: bool
 
 
-def places_up_to(base: FieldSpec, max_degree: int) -> list[UniPoly]:
-    out = []
-    for s in range(1, max_degree + 1):
-        out.extend(monic_irreducibles(base, s))
-    return out
+def places_up_to(base: FieldSpec, max_degree: int, limit: int | None = None) -> list[UniPoly]:
+    """The finite places of degree <= max_degree, by degree and then in
+    counter order; with a limit, the first `limit`, enumerated degree by
+    degree up to the degree that completes them."""
+    places = (f for s in range(1, max_degree + 1) for f in monic_irreducibles(base, s))
+    return list(itertools.islice(places, limit))
 
 
 def analyze_sample(
@@ -213,26 +208,12 @@ def analyze_sample(
         except BadPlaceError:
             bad.append(label)
             continue
-        verdict = smoothness_certificate(
-            special,
-            point_budget=config.point_budget,
-            line_budget=config.line_budget,
-            max_line_field=64,
+        if smoothness_certificate(special).status == NOT_SMOOTH:
+            bad.append(label)
+            continue
+        ev = frobenius_class(
+            special, table, point_budget=config.point_budget, line_budget=config.line_budget
         )
-        if verdict.status == NOT_SMOOTH:
-            bad.append(label)
-            continue
-        try:
-            ev: FrobeniusEvidence = frobenius_class(
-                special,
-                table,
-                point_budget=config.point_budget,
-                line_budget=config.line_budget,
-                verdict=verdict,
-            )
-        except NotSmoothOrBadReduction:
-            bad.append(label)
-            continue
         used.append(label)
         evidence.append(PlaceEvidence(label, ev.class_ids))
         obs = CycleTypeObservation(tuple(evidence))
@@ -255,7 +236,7 @@ def run_density(config: ExperimentConfig) -> dict:
     config.validate()
     table = build_class_table()
     base = field(config.q, 1)
-    places = places_up_to(base, config.max_place_degree)
+    places = places_up_to(base, config.max_place_degree, config.max_places)
     rows = []
     for degree_bound in config.degree_bounds:
         tallies = {

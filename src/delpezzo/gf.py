@@ -176,7 +176,8 @@ class _Tables:
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.COORDS is None:
             return np.bitwise_xor(a, b)
-        return ((self.COORDS[a] + self.COORDS[b]) % self.fs.p) @ self.PPOW
+        # digit by digit: (a // p^i + b // p^i) % p is the i-th digit of the sum
+        return sum((a // w + b // w) % self.fs.p * w for w in self.PPOW)
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,22 @@ A and B lies on the surface when the four coefficients of F(sA + tB) vanish:
 F(A), F(B) and the polars sum_v B_v dF/dv(A), sum_v A_v dF/dv(B), an exact
 identity in every characteristic, so the test is exact over small fields too.
 Two lines meet when the Plucker pairing of their coordinates vanishes.
-Smoothness is certified operationally: a singular point over a small extension
-refutes it, and exactly 27 lines over some extension whose intersection graph
-matches the degree-3 incidence graph certifies it.
 
-A `CubicForm` builds each extension, its encoded terms and one point scan
-(the point count and the first singular point) once, and `count_points` and
-`singular_point` are views of that scan.  A point scan over GF(q^m) needs
+Smoothness is decided exactly, by one rank over F_q (`smoothness_certificate`).
+The surface is singular exactly where F and its four partials have a common
+zero over the algebraic closure, that is where the ideal J they generate has
+a zero.  For p != 3 the Euler identity 3F = sum_v x_v dF/dv puts F in the
+ideal of the partials, and four quadrics without a common zero form a regular
+sequence with Hilbert series (1 + t)^4, so X is smooth iff J contains all 56
+quintics.  For p = 3, four general cubics of J_3 have no common zero when J
+has none and form a regular sequence with Hilbert series (1 + t + t^2)^4, so
+X is smooth iff J contains all 220 nonics.  Conversely, a common zero kills
+every element of J but not every monomial.  The rank of the Macaulay matrix
+(`_macaulay_matrix`) is that of J in the target degree and does not change
+under field extension, so the test needs no extension field and no budget.
+
+A `CubicForm` builds each extension, its encoded terms and its point count
+once; `count_points` is a view of that count.  A point scan over GF(q^m) needs
 q^(3m) within the point budget; a line scan needs q^(4m) within the line
 budget and q^m within the field bound and LINE_ENUMERATION_FIELD_CAP, the
 order up to which fields have tables.
@@ -29,23 +38,23 @@ order up to which fields have tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from dataclasses import asdict, dataclass, field as dataclass_field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .gf import TABLE_FIELD_CAP, Element, FieldSpec, embed, field
-from .incidence import find_isomorphism, incidence_graph
-from .lattice import DegreeContext
 from .permgroup import fixed_points_of_power
 
-#: degree-3 monomials in x, y, z, w: graded lex, x > y > z > w
-MONOMIALS: tuple[tuple[int, int, int, int], ...] = tuple(
-    sorted(
-        (e for e in itertools.product(range(4), repeat=4) if sum(e) == 3),
-        reverse=True,
-    )
-)
+
+@lru_cache(maxsize=None)
+def _monomials(degree: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The monomials of the given degree in x, y, z, w: graded lex, x > y > z > w."""
+    exponents = itertools.product(range(degree + 1), repeat=4)
+    return tuple(sorted((e for e in exponents if sum(e) == degree), reverse=True))
+
+
+MONOMIALS = _monomials(3)
 
 #: line scans need the field's arithmetic tables
 LINE_ENUMERATION_FIELD_CAP = TABLE_FIELD_CAP
@@ -142,16 +151,10 @@ class CubicForm:
         return tuple(out)
 
     @cached_property
-    def _point_scan(self) -> tuple[int, tuple[int, int, int, int] | None]:
-        """One pass over P^3(F_q): the number of points of the surface and
-        the encodings of its first singular point in counter order, or None."""
-        tab = self.field.tables
-        pts = _zeros(tab, self.terms, _strata(self.field.order))
-        singular = np.ones(len(pts[3]), dtype=bool)
-        for g_terms in self.gradient_terms:
-            singular &= _eval_terms_batch(tab, g_terms, pts) == 0
-        hits = np.flatnonzero(singular)
-        return len(pts[3]), (tuple(int(p[hits[0]]) for p in pts) if len(hits) else None)
+    def _point_count(self) -> int:
+        """One pass over P^3(F_q): the number of points of the surface."""
+        tab, chunks = self.field.tables, _strata(self.field.order)
+        return sum(int(np.count_nonzero(_eval_grid(tab, self.terms, head, w) == 0)) for head, w in chunks)
 
 
 def _eval_terms_batch(tab, terms: list[tuple[int, tuple[int, ...]]], coords: list) -> np.ndarray:
@@ -255,7 +258,7 @@ def count_points(form: CubicForm, budget: int = DEFAULT_POINT_BUDGET) -> int:
     q = form.field.order
     if not _points_fit(q, 1, budget):
         raise BudgetExceeded(f"point count over order-{q} field exceeds budget {budget}")
-    return form._point_scan[0]
+    return form._point_count
 
 
 def singular_point(
@@ -263,14 +266,21 @@ def singular_point(
 ) -> tuple[int, tuple[int, int, int, int]] | None:
     """A point of the surface over GF(q^m), m <= max_extension, where all four
     partials vanish; returns (m, point encodings) or None if none found within
-    budget."""
+    budget.  The reference search that the exact `smoothness_certificate`
+    replaced: one scan of the surface's points per extension."""
     q = form.field.order
     for m in range(1, max_extension + 1):
         if not _points_fit(q, m, budget):
             break
-        witness = form.extend(m)._point_scan[1]
-        if witness is not None:
-            return m, witness
+        ext = form.extend(m)
+        tab = ext.field.tables
+        pts = _zeros(tab, ext.terms, _strata(ext.field.order))
+        singular = np.ones(len(pts[3]), dtype=bool)
+        for g_terms in ext.gradient_terms:
+            singular &= _eval_terms_batch(tab, g_terms, pts) == 0
+        hits = np.flatnonzero(singular)
+        if len(hits):
+            return m, tuple(int(p[hits[0]]) for p in pts)
     return None
 
 
@@ -385,6 +395,15 @@ class TraceSequence:
     values: tuple[int, ...]
 
 
+def _weil_trace(count: int, q: int, m: int) -> int:
+    """t_m from #X(GF(q^m)): a smooth cubic surface has an integer in [-7, 7]."""
+    qm = q**m
+    t, rest = divmod(count - qm * qm - 1, qm)
+    if rest or abs(t) > 7:
+        raise NotSmoothOrBadReduction(f"point count {count} over GF({q}^{m}) violates the Weil shape")
+    return t
+
+
 def trace_sequence(
     form: CubicForm, m_max: int, budget: int = DEFAULT_POINT_BUDGET
 ) -> TraceSequence:
@@ -393,85 +412,93 @@ def trace_sequence(
     for m in range(1, m_max + 1):
         if not _points_fit(q, m, budget):
             break
-        count = count_points(form.extend(m), budget=budget)
-        qm = q**m
-        num = count - qm * qm - 1
-        if num % qm != 0:
-            raise NotSmoothOrBadReduction(
-                f"point count {count} over GF({q}^{m}) violates the Weil shape"
-            )
-        t = num // qm
-        if abs(t) > 7:
-            raise NotSmoothOrBadReduction(f"trace t_{m} = {t} out of [-7, 7]")
-        values.append(t)
+        values.append(_weil_trace(count_points(form.extend(m), budget=budget), q, m))
     return TraceSequence(q, tuple(values))
 
 
 SMOOTH_CERTIFIED = "smooth_certified"
 NOT_SMOOTH = "not_smooth"
-UNDETERMINED = "undetermined"
+
+
+def _macaulay_matrix(form: CubicForm) -> np.ndarray:
+    """Encoded Macaulay matrix of the ideal J of the singular locus in degree
+    D: a row per generator times monomial of the complementary degree, a
+    column per degree-D monomial in `_monomials(D)` order.  The generators are
+    the four partials with D = 5, and for p = 3 also F, with D = 9."""
+    gens = [(g, 2) for g in form.gradient_terms]
+    degree = 5
+    if form.field.p == 3:
+        gens.append((form.terms, 3))
+        degree = 9
+    # exponents as base-(D + 1) keys, which add as the monomials multiply
+    radix = (degree + 1) ** np.arange(4)
+    columns = np.array(_monomials(degree)) @ radix
+    index = np.zeros((degree + 1) ** 4, dtype=np.int64)
+    index[columns] = np.arange(len(columns))
+    blocks = []
+    for terms, d in gens:
+        multipliers = np.array(_monomials(degree - d)) @ radix
+        block = np.zeros((len(multipliers), len(columns)), dtype=np.int64)
+        if terms:
+            coeffs, exponents = zip(*terms)
+            keys = multipliers[:, None] + np.array(exponents) @ radix
+            block[np.arange(len(multipliers))[:, None], index[keys]] = coeffs
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _row_reduce(tab, matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The nonzero rows of the reduced row echelon form of an encoded matrix,
+    and its pivot columns."""
+    m = matrix.copy()
+    pivots: list[int] = []
+    for col in range(m.shape[1]):
+        rank = len(pivots)
+        nonzero = np.flatnonzero(m[rank:, col])
+        if not len(nonzero):
+            continue
+        m[[rank, rank + nonzero[0]]] = m[[rank + nonzero[0], rank]]
+        # rows from `rank` on are zero left of `col`: scale the pivot to 1
+        inverse = tab.fs.order - 1 - tab.LOG[m[rank, col]]
+        m[rank, col:] = tab.EXP[tab.LOG[m[rank, col:]] + inverse]
+        factors = m[:, col].copy()
+        factors[rank] = 0
+        hit = np.flatnonzero(factors)
+        m[hit, col:] = tab.add(m[hit, col:], tab.NEG[tab.mul(factors[hit, None], m[rank, col:])])
+        pivots.append(col)
+    return m[: len(pivots)], pivots
 
 
 @dataclass(frozen=True)
 class SmoothnessVerdict:
+    """The rank of `_macaulay_matrix` over F_q against its column count.  A
+    singular surface carries a witness: a nonzero vector, one entry per
+    column, that the matrix maps to zero."""
+
     status: str
-    reason: str
-    line_counts: dict[int, int] = dataclass_field(default_factory=dict)
-    splitting_extension: int | None = None
-    witness: tuple | None = None
+    rank: int
+    columns: int
+    witness: tuple[int, ...] | None = None
 
     def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "reason": self.reason,
-            "line_counts": {str(k): v for k, v in sorted(self.line_counts.items())},
-            "splitting_extension": self.splitting_extension,
-            "witness": list(self.witness) if self.witness else None,
-        }
+        return asdict(self)
 
 
-def smoothness_certificate(
-    form: CubicForm,
-    point_budget: int = DEFAULT_POINT_BUDGET,
-    line_budget: int = DEFAULT_LINE_BUDGET,
-    max_line_field: int = LINE_ENUMERATION_FIELD_CAP,
-) -> SmoothnessVerdict:
-    """Operational certificate: NOT_SMOOTH on a singular point over GF(q^m)
-    (m <= 3) or a wrong line configuration; SMOOTH_CERTIFIED on exactly 27
-    lines over some extension with the degree-3 incidence graph; otherwise
-    UNDETERMINED."""
-    q = form.field.order
-    hit = singular_point(form, budget=point_budget)
-    if hit is not None:
-        return SmoothnessVerdict(
-            NOT_SMOOTH, f"singular point over extension {hit[0]}", witness=hit
-        )
-    counts: dict[int, int] = {}
-    m = 1
-    while _lines_fit(q, m, line_budget, max_line_field):
-        lines = lines_on_surface(form.extend(m), budget=line_budget)
-        counts[m] = len(lines)
-        if len(lines) > 27:
-            return SmoothnessVerdict(
-                NOT_SMOOTH, f"{len(lines)} lines over extension {m}", line_counts=counts
-            )
-        if len(lines) == 27:
-            labels = line_intersection_labels(lines)
-            iso = find_isomorphism(labels, incidence_graph(DegreeContext(3)))
-            if iso is None:
-                return SmoothnessVerdict(
-                    NOT_SMOOTH,
-                    "27 lines with a wrong incidence graph",
-                    line_counts=counts,
-                )
-            return SmoothnessVerdict(
-                SMOOTH_CERTIFIED,
-                f"27 lines over extension {m} with the expected incidences",
-                line_counts=counts,
-                splitting_extension=m,
-            )
-        m += 1
-    return SmoothnessVerdict(UNDETERMINED, "line budget exhausted before 27 lines", line_counts=counts)
+def smoothness_certificate(form: CubicForm) -> SmoothnessVerdict:
+    """Exact: SMOOTH_CERTIFIED when the Macaulay matrix has full column rank,
+    NOT_SMOOTH with a kernel vector otherwise (see the module docstring)."""
+    tab = form.field.tables
+    matrix = _macaulay_matrix(form)
+    reduced, pivots = _row_reduce(tab, matrix)
+    columns = matrix.shape[1]
+    if len(pivots) == columns:
+        return SmoothnessVerdict(SMOOTH_CERTIFIED, columns, columns)
+    # set the first free column to 1 and solve the reduced rows for the pivots
+    free = min(set(range(columns)) - set(pivots))
+    witness = np.zeros(columns, dtype=np.int64)
+    witness[free] = 1
+    witness[pivots] = tab.NEG[reduced[:, free]]
+    return SmoothnessVerdict(NOT_SMOOTH, len(pivots), columns, tuple(int(x) for x in witness))
 
 
 @dataclass(frozen=True)
@@ -510,7 +537,6 @@ def frobenius_class(
     class_table,
     point_budget: int = DEFAULT_POINT_BUDGET,
     line_budget: int = DEFAULT_LINE_BUDGET,
-    verdict: SmoothnessVerdict | None = None,
     max_line_field: int = 512,
 ) -> FrobeniusEvidence:
     """Every conjugacy class consistent with the rational-line counts over the
@@ -519,26 +545,17 @@ def frobenius_class(
     Evidence is gathered adaptively, shallow extensions first, and stops as
     soon as a single class remains: the ambiguity set always contains the true
     class of a smooth reduction, so early singletons are exact."""
-    if verdict is not None and verdict.status == NOT_SMOOTH:
-        raise NotSmoothOrBadReduction("surface is certified non-smooth")
     q = form.field.order
-    counts = dict(verdict.line_counts) if verdict is not None else {}
+    counts: dict[int, int] = {}
     traces: dict[int, int] = {}
     candidates = _matching_classes(class_table, counts, traces)
     for m in range(1, FROBENIUS_DEPTH + 1):
         if len(candidates) == 1:
             break
-        if m not in counts and _lines_fit(q, m, line_budget, max_line_field):
+        if _lines_fit(q, m, line_budget, max_line_field):
             counts[m] = len(lines_on_surface(form.extend(m), budget=line_budget))
         if _points_fit(q, m, point_budget):
-            count = count_points(form.extend(m), budget=point_budget)
-            qm = q**m
-            num = count - qm * qm - 1
-            if num % qm != 0 or abs(num // qm) > 7:
-                raise NotSmoothOrBadReduction(
-                    f"point count {count} over GF({q}^{m}) violates the Weil shape"
-                )
-            traces[m] = num // qm
+            traces[m] = _weil_trace(count_points(form.extend(m), budget=point_budget), q, m)
         candidates = _matching_classes(class_table, counts, traces)
         if not candidates:
             raise NotSmoothOrBadReduction("no conjugacy class matches the evidence")

@@ -112,8 +112,8 @@ def test_criterion_5_explicit_surfaces():
     cone = CubicForm.from_ints(
         f7, [1 if e in ((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)) else 0 for e in MONOMIALS]
     )
-    assert smoothness_certificate(cone, point_budget=10**6, line_budget=10**7).status == NOT_SMOOTH
-    assert smoothness_certificate(CubicForm.fermat(f3), point_budget=10**6, line_budget=10**7).status == NOT_SMOOTH
+    assert smoothness_certificate(cone).status == NOT_SMOOTH
+    assert smoothness_certificate(CubicForm.fermat(f3)).status == NOT_SMOOTH
     elapsed = time.time() - t0
     assert elapsed < 60
     _announce(5, f"Fermat line counts/splitting and the two non-smooth verdicts ({elapsed:.1f}s)")
@@ -134,20 +134,13 @@ def _certified_pool(q: int, want: int, screen_budget: int, line_budget: int):
         if all(c == 0 for c in coeffs):
             continue
         form = CubicForm.from_ints(fs, coeffs)
-        verdict = smoothness_certificate(
-            form,
-            point_budget=screen_budget,
-            line_budget=line_budget,
-            max_line_field=2048,
-        )
-        if verdict.status != SMOOTH_CERTIFIED:
+        if smoothness_certificate(form).status != SMOOTH_CERTIFIED:
             continue
         ev = frobenius_class(
             form,
             table,
             point_budget=screen_budget,
             line_budget=line_budget,
-            verdict=verdict,
             max_line_field=2048,
         )
         if ev.pinned:
@@ -188,16 +181,12 @@ def test_criterion_6_lefschetz_consistency():
     checked = 0
     for q, coeffs in FROZEN_POOL:
         form = CubicForm.from_ints(field(q), coeffs)
-        verdict = smoothness_certificate(
-            form, point_budget=20_000, line_budget=2 * 10**11, max_line_field=2048
-        )
-        assert verdict.status == SMOOTH_CERTIFIED, (q, coeffs)
+        assert smoothness_certificate(form).status == SMOOTH_CERTIFIED, (q, coeffs)
         ev = frobenius_class(
             form,
             table,
             point_budget=20_000,
             line_budget=2 * 10**11,
-            verdict=verdict,
             max_line_field=2048,
         )
         assert ev.pinned, (q, coeffs)

@@ -131,7 +131,7 @@ PINNED_SURFACES = (
     "3 2 : 1,5,0,2,7,0,3,0,8,1,4,0,6,2,0,5,1,3,0,7\n"
     "2 1 : u,1,0,u^2+1,0,1,0,0,u,1,1,0,1,0,u+1,0,1,1,0,u\n"
 )
-PINNED_SURFACE_REPORT_SHA256 = "5d6e2df1b3385fde7c4c666a6b9a2eb2247d5a752b93beceabc1e7770c630c2e"
+PINNED_SURFACE_REPORT_SHA256 = "b6d6d72ffdd18dc45cd2bea1ff4bb34dc371549027657448cd1c35da2feccc1d"
 
 
 def test_cli_surface_report_bytes_are_pinned(tmp_path):
@@ -157,6 +157,20 @@ def test_cli_surface_line_budget_is_q_to_the_fourth(tmp_path):
     assert surface["smoothness"]["status"] == "smooth_certified"
     assert main(["surface", str(src), "--json", str(out), "--budget-lines", "2400"]) == 0
     assert json.loads(out.read_text())["surfaces"][0]["rational_lines"] is None
+
+
+def test_cli_surface_counts_rational_lines_past_the_density_field_bound(tmp_path):
+    # density counts lines over fields up to order 512 only; the report
+    # counts them over GF(521) too, where x^3 + y^3 + z^3 + w^3 has the 3
+    # lines x = -y, z = -w and their permutations (521 = 2 mod 3)
+    src = tmp_path / "fermat521.txt"
+    src.write_text(f"521 1 : {FERMAT}\n")
+    out = tmp_path / "report.json"
+    assert main(["surface", str(src), "--json", str(out), "--budget-points", "1000"]) == 0
+    surface = json.loads(out.read_text())["surfaces"][0]
+    assert surface["smoothness"]["status"] == "smooth_certified"
+    assert surface["frobenius"]["line_counts"] == {"1": 3}
+    assert surface["rational_lines"] == 3
 
 
 def test_cli_surface_bad_file(tmp_path, capsys):
@@ -238,6 +252,40 @@ def test_cli_surface_budget_exceeded_is_one_line(tmp_path, capsys):
     assert captured.out == ""
     err = captured.err.strip()
     assert "\n" not in err and "above order" in err and "Traceback" not in err
+
+
+def test_cli_surface_beyond_the_table_cap_is_one_line(tmp_path, capsys, monkeypatch):
+    # smoothness is one rank over GF(2^17), a field without tables; the
+    # input is refused before the class table or any earlier line
+    from delpezzo import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the class table was built for a field without tables")
+
+    monkeypatch.setattr(cli, "build_class_table", never)
+    src = tmp_path / "big.txt"
+    src.write_text(f"7 1 : {FERMAT}\n2 17 : {FERMAT}\n")
+    assert main(["surface", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("surface: ") and "above order 65536" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("degree", ["0", "-1", "17", "1000000000"])
+def test_cli_surface_rejects_place_degrees_without_tables(degree, tmp_path, capsys, monkeypatch):
+    from delpezzo import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the class table was built for a rejected place degree")
+
+    monkeypatch.setattr(cli, "build_class_table", never)
+    src = tmp_path / "ff.txt"
+    src.write_text("2 1 : u," + ",".join(["1"] * 19) + "\n")
+    assert main(["surface", str(src), "--max-place-degree", degree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("surface: ") and captured.err.count("\n") == 1
 
 
 def test_cli_field_size_error_is_one_line(tmp_path, capsys, monkeypatch):

@@ -99,12 +99,36 @@ def test_conjugate_root_gives_same_frobenius_class():
         if all(f4.is_zero(c) for c in coeffs):
             pytest.skip("degenerate sample")
         surf = CubicForm(f4, coeffs)
-        v = smoothness_certificate(surf, point_budget=10**6, line_budget=10**7)
-        if v.status == "not_smooth":
+        if smoothness_certificate(surf).status == "not_smooth":
             pytest.skip("singular sample")
-        ev = frobenius_class(surf, table, point_budget=10**6, line_budget=10**7, verdict=v)
+        ev = frobenius_class(surf, table, point_budget=10**6, line_budget=10**7)
         evidences.append(ev.class_ids)
     assert evidences[0] == evidences[1]
+
+
+def test_place_enumeration_stops_at_the_limit(monkeypatch):
+    from delpezzo.gf import UniPoly
+
+    first8 = places_up_to(F2, 4)  # 2 + 1 + 2 + 3 places
+    tested = []
+    is_irreducible = UniPoly.is_irreducible
+    monkeypatch.setattr(UniPoly, "is_irreducible", lambda f: tested.append(f) or is_irreducible(f))
+    assert places_up_to(F2, 15, limit=8) == first8
+    # every monic of degree <= 4 and none above: x^4+x^3+x^2+x+1 is the last
+    assert len(tested) == 2 + 4 + 8 + 16
+
+
+def test_density_report_ignores_place_degrees_past_the_places_used():
+    def report(max_place_degree):
+        config = ExperimentConfig(
+            q=2, degree_bounds=(1,), samples_per_degree=2, seed="lazy", max_place_degree=max_place_degree,
+            min_usable_places=1, point_budget=5000, line_budget=10**6,
+        )
+        out = run_density(config)
+        assert out["config"].pop("max_place_degree") == max_place_degree
+        return out
+
+    assert report(4) == report(15)
 
 
 def test_all_places_bad_sample_is_skipped():

@@ -5,7 +5,7 @@ import pytest
 
 from delpezzo.certify import build_class_table
 from delpezzo import surface
-from delpezzo.gf import TABLE_FIELD_CAP, field
+from delpezzo.gf import TABLE_FIELD_CAP, FieldSizeError, field
 from delpezzo.surface import (
     MONOMIALS,
     BudgetExceeded,
@@ -97,13 +97,13 @@ def test_line_budget_is_q_to_the_fourth():
 
 
 def test_line_gate_stops_at_the_table_cap():
-    # one cap: the line gate refuses fields without tables instead of raising
+    # one cap: the line gate refuses fields without tables, and the exact
+    # smoothness test, which needs the tables, raises above the cap
     assert surface.LINE_ENUMERATION_FIELD_CAP == TABLE_FIELD_CAP
     assert surface._lines_fit(2, 16, 10**100, max_field=2**20)
     assert not surface._lines_fit(2, 17, 10**100, max_field=2**20)
-    big = CubicForm.fermat(field(2, 17))
-    verdict = smoothness_certificate(big, point_budget=1, line_budget=10**100, max_line_field=2**20)
-    assert verdict.status == surface.UNDETERMINED and verdict.line_counts == {}
+    with pytest.raises(FieldSizeError, match="above order"):
+        smoothness_certificate(CubicForm.fermat(field(2, 17)))
 
 
 def test_fermat_lines():
@@ -159,19 +159,28 @@ def test_trace_sequence_rejects_singular():
         trace_sequence(cone_f7(), 2, budget=10**6)
 
 
+def test_trace_sequence_and_frobenius_class_share_the_weil_check():
+    xyz = CubicForm.from_ints(F7, [int(e == (1, 1, 1, 0)) for e in MONOMIALS])
+    with pytest.raises(NotSmoothOrBadReduction) as traces:
+        trace_sequence(xyz, 2)
+    with pytest.raises(NotSmoothOrBadReduction) as evidence:
+        frobenius_class(xyz, build_class_table())
+    # three planes: 3 q^2 + 1 points, so t_1 = 2q = 14 is out of range
+    assert str(traces.value) == str(evidence.value) == "point count 148 over GF(7^1) violates the Weil shape"
+
+
 def test_smoothness_certificates():
-    v = smoothness_certificate(CubicForm.fermat(F7), point_budget=10**6, line_budget=10**7)
-    assert v.status == SMOOTH_CERTIFIED
-    assert v.splitting_extension == 1
+    for fs in (F7, F2):
+        v = smoothness_certificate(CubicForm.fermat(fs))
+        assert (v.status, v.rank, v.columns, v.witness) == (SMOOTH_CERTIFIED, 56, 56, None)
 
-    v2 = smoothness_certificate(CubicForm.fermat(F2), point_budget=10**6, line_budget=10**7)
-    assert v2.status == SMOOTH_CERTIFIED
-    assert v2.splitting_extension == 2
-    assert v2.line_counts == {1: 3, 2: 27}
-
-    assert smoothness_certificate(cone_f7(), point_budget=10**6, line_budget=10**7).status == NOT_SMOOTH
-    # characteristic 3: the Fermat form is a perfect cube of a plane
-    assert smoothness_certificate(CubicForm.fermat(F3), point_budget=10**6, line_budget=10**7).status == NOT_SMOOTH
+    cone = smoothness_certificate(cone_f7())
+    assert (cone.status, cone.rank, cone.columns) == (NOT_SMOOTH, 48, 56)
+    assert len(cone.witness) == 56 and any(cone.witness)
+    # characteristic 3: the Fermat form is a perfect cube of a plane, all
+    # partials vanish and only the multiples of F remain in degree 9
+    v3 = smoothness_certificate(CubicForm.fermat(F3))
+    assert (v3.status, v3.rank, v3.columns) == (NOT_SMOOTH, 84, 220)
 
 
 def test_line_intersection_graph_shape():
@@ -195,10 +204,11 @@ def test_frobenius_class_fermat():
 
 
 def test_frobenius_class_refuses_certified_nonsmooth():
+    # the cone has 9 rational lines and more than 27 over GF(49): no class fits
     table = build_class_table()
-    verdict = smoothness_certificate(cone_f7(), point_budget=10**6, line_budget=10**7)
-    with pytest.raises(NotSmoothOrBadReduction):
-        frobenius_class(cone_f7(), table, verdict=verdict)
+    assert smoothness_certificate(cone_f7()).status == NOT_SMOOTH
+    with pytest.raises(NotSmoothOrBadReduction, match="no conjugacy class"):
+        frobenius_class(cone_f7(), table)
 
 
 def test_identity_class_surfaces_have_trace_seven():

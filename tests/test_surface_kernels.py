@@ -290,15 +290,14 @@ def traces_of(form):
     return outcome(trace_sequence, form, 6, budget=POINT_BUDGET)
 
 
-def evidence_of(form, table, verdict):
+def evidence_of(form, table):
     return outcome(frobenius_class, form, table, point_budget=POINT_BUDGET,
-                   line_budget=LINE_BUDGET, verdict=verdict)
+                   line_budget=LINE_BUDGET)
 
 
 def analyse(form, table):
     """The `surface` command's sequence on one form."""
-    verdict = smoothness_certificate(form, point_budget=POINT_BUDGET, line_budget=LINE_BUDGET)
-    return verdict, traces_of(form), evidence_of(form, table, verdict)
+    return smoothness_certificate(form), traces_of(form), evidence_of(form, table)
 
 
 @pytest.mark.parametrize("fs", [field(2), field(5)], ids=repr)
@@ -329,17 +328,15 @@ def test_one_point_scan_and_one_extension_per_level(fs, monkeypatch):
 def test_memo_does_not_change_results(fs):
     table = build_class_table()
     for form in seeded_forms(fs):
-        verdict = analyse(form, table)[0]
+        analyse(form, table)
         for m in (2, 3):
             lift = embed(fs, field(fs.p, fs.k * m))
             assert form.extend(m) is form.extend(m)
             assert form.extend(m).coeffs == tuple(lift(c) for c in form.coeffs)
         fresh = (traces_of(CubicForm(fs, form.coeffs)),
-                 evidence_of(CubicForm(fs, form.coeffs), table, verdict))
-        assert (traces_of(form), evidence_of(form, table, verdict)) == fresh
+                 evidence_of(CubicForm(fs, form.coeffs), table))
+        assert (traces_of(form), evidence_of(form, table)) == fresh
         # frobenius_class before trace_sequence
         other = CubicForm(fs, form.coeffs)
-        evidence = evidence_of(other, table, verdict)
+        evidence = evidence_of(other, table)
         assert (traces_of(other), evidence) == fresh
-        if verdict.status != surface.NOT_SMOOTH:
-            assert evidence_of(form, table, None) == evidence_of(CubicForm(fs, form.coeffs), table, None)
