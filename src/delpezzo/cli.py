@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
         if not 1 <= args.degree <= 7:
             print(f"verify: degree must be in 1..7, got {args.degree}", file=sys.stderr)
             return 2
-        table1 = verify_table1(full_aut_d1=args.full_aut, degrees=(args.degree,))
+        table1 = verify_table1(degrees=(args.degree,))
         checks = [c.to_json() for c in table1 if c.degree == args.degree]
         if 1 <= args.degree <= 6:
             checks += [c.to_json() for c in stabilizer_chain_check(args.degree)]
@@ -127,7 +127,7 @@ def cmd_verify(args) -> int:
             checks += [c.to_json() for c in schlafli_report()]
         report = {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
     else:
-        report = full_report(full_aut_d1=args.full_aut)
+        report = full_report()
     _emit(report, args)
     ok = report.get("all_pass", False)
     if not ok:
@@ -286,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("-d", "--degree", type=int, default=None,
                           help="restrict to one degree in 1..7 (default: all)")
     p_verify.add_argument("--all", action="store_true", help="run everything (default)")
-    p_verify.add_argument("--full-aut", action="store_true",
-                          help="also search the full degree-1 symmetry group (minutes)")
     p_verify.add_argument("--json", help="write the JSON report here")
     p_verify.set_defaults(func=cmd_verify)
 

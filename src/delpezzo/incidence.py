@@ -4,8 +4,10 @@ The graph for degree d has the n_d exceptional classes (in canonical lexicograph
 order) as vertices and the pairwise intersection numbers as edge labels, with -1
 on the diagonal.  Automorphisms are the label-matrix-preserving vertex
 permutations, found by backtracking over an iterated equitable-partition
-refinement (per-label color counts); the Weyl image is the permutation action
-of the simple-root reflections on the same vertex list.
+refinement (per-label color counts, ranked as big-endian byte keys), with
+coset candidates already in the orbit of the generators found so far skipped
+(orbit pruning); the Weyl image is the permutation action of the simple-root
+reflections on the same vertex list.
 
 For degree 3 the classical substructures of the 27 lines are enumerated here:
 tritangent triangles (class sum = -K), double sixes and triple nines.
@@ -83,24 +85,43 @@ class _Refiner:
     Colors are canonical ids (ranks of sorted signatures), so two colorings
     produced from isomorphism-related starting points stay comparable cell by
     cell; a cell-size histogram mismatch proves non-extendability.
+
+    A vertex's signature is its color followed by its neighbor counts per
+    (label, color).  All counts come from one float32 matmul against the
+    stacked label masks, exact because counts are at most n < 2^16 < 2^24.
+    Each signature row is written as big-endian uint16 and ranked as one
+    opaque byte key: bytewise order of big-endian unsigned integers is
+    lexicographic order, so the ranks equal those of a row-wise
+    lexicographic sort.
     """
 
     def __init__(self, labels: np.ndarray):
         self.n = labels.shape[0]
+        if self.n >= 1 << 16:
+            raise ValueError(f"refinement keys hold 16-bit counts; got {self.n} vertices")
         values = sorted(set(labels[np.triu_indices(self.n, 1)].tolist())) if self.n > 1 else []
-        self.masks = [(labels == v).astype(np.int32) for v in values]
+        self.n_labels = len(values)
+        # row l*n + i is vertex i's indicator row for the l-th label value
+        self.masks = np.concatenate(
+            [(labels == v).astype(np.float32) for v in values]
+            or [np.zeros((0, self.n), dtype=np.float32)]
+        )
 
     def refine(self, colors: np.ndarray) -> np.ndarray:
-        n = self.n
+        n, n_labels = self.n, self.n_labels
         while True:
-            k = int(colors.max()) + 1
-            onehot = np.zeros((n, k), dtype=np.int32)
-            onehot[np.arange(n), colors] = 1
-            sig = [colors.reshape(n, 1)]
-            for mask in self.masks:
-                sig.append(mask @ onehot)
-            sig_matrix = np.concatenate(sig, axis=1)
-            _, new = np.unique(sig_matrix, axis=0, return_inverse=True)
+            # one count column per color present: the columns of absent ids
+            # are zero in every row and leave the row order unchanged
+            present, dense = np.unique(colors, return_inverse=True)
+            k = len(present)
+            onehot = np.zeros((n, k), dtype=np.float32)
+            onehot[np.arange(n), dense] = 1.0
+            counts = (self.masks @ onehot).reshape(n_labels, n, k)
+            sig = np.empty((n, 1 + n_labels * k), dtype=">u2")
+            sig[:, 0] = colors
+            sig[:, 1:] = counts.transpose(1, 0, 2).reshape(n, n_labels * k)
+            keys = sig.view(np.dtype((np.void, sig.shape[1] * 2))).ravel()
+            _, new = np.unique(keys, return_inverse=True)
             new = new.astype(np.int64)
             if int(new.max()) == int(colors.max()) and np.array_equal(
                 np.sort(np.bincount(new)), np.sort(np.bincount(colors))
@@ -181,14 +202,27 @@ def find_isomorphism(a: IncidenceGraph | np.ndarray, b: IncidenceGraph | np.ndar
     )
 
 
+def _orbit(v: int, gens: list[Permutation]) -> set[int]:
+    orbit = {v}
+    queue = [v]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                queue.append(g[x])
+    return orbit
+
+
 @lru_cache(maxsize=None)
 def automorphism_group(graph: IncidenceGraph) -> PermutationGroup:
     """The full group of label-preserving vertex permutations.
 
     Builds a stabilizer chain by individualization: at each level the first
-    vertex of the smallest non-singleton cell is fixed, coset representatives
-    to every other cell member are searched for, and the pointwise stabilizer
-    is handled recursively.
+    vertex v of the smallest non-singleton cell is fixed and the pointwise
+    stabilizer is handled recursively; then coset representatives are searched
+    for only to cell members outside the orbit of v under the generators found
+    so far, all of which fix the current base prefix (orbit pruning).
     """
     labels = graph.labels
     n = graph.n
@@ -206,7 +240,10 @@ def automorphism_group(graph: IncidenceGraph) -> PermutationGroup:
         cell = np.nonzero(colors == cell_color)[0]
         v = int(cell[0])
         collect(_individualize(colors, v))
+        orbit = _orbit(v, gens)
         for u in cell[1:]:
+            if int(u) in orbit:
+                continue
             g = _match_search(
                 refiner,
                 refiner,
@@ -217,6 +254,7 @@ def automorphism_group(graph: IncidenceGraph) -> PermutationGroup:
             )
             if g is not None:
                 gens.append(g)
+                orbit = _orbit(v, gens)
 
     collect(np.zeros(n, dtype=np.int64))
     return PermutationGroup(n, gens)
@@ -341,48 +379,23 @@ def double_sixes(graph: IncidenceGraph) -> tuple[DoubleSix, ...]:
     return tuple(sorted(found.values(), key=lambda d: d.first))
 
 
-def _partitions_into_triangles(
-    lines: frozenset[int], triangles: list[frozenset[int]]
-) -> list[tuple[frozenset[int], ...]]:
-    """All ways to split `lines` into disjoint triangles from the given list."""
-    inside = [t for t in triangles if t <= lines]
-    out = []
-
-    def grow(remaining: frozenset[int], chosen: list[frozenset[int]]) -> None:
-        if not remaining:
-            out.append(tuple(sorted(chosen, key=sorted)))
-            return
-        pivot = min(remaining)
-        for t in inside:
-            if pivot in t and t <= remaining:
-                chosen.append(t)
-                grow(remaining - t, chosen)
-                chosen.pop()
-
-    grow(lines, [])
-    return out
-
-
 @lru_cache(maxsize=None)
 def trihedral_nines(graph: IncidenceGraph) -> tuple[frozenset[int], ...]:
     """All 9-line sets that admit a 3x3 grid of rows and columns of tritangent
     triangles (the line sets of trihedral pairs)."""
     _require_deg3(graph)
     tris = [frozenset(t) for t in tritangent_triangles(graph)]
+    tri_set = set(tris)
     nines: set[frozenset[int]] = set()
-    for a, b, c in combinations(tris, 3):
-        if a & b or a & c or b & c:
+    for a, b in combinations(tris, 2):
+        if a & b:
             continue
-        lines = a | b | c
-        if lines in nines:
-            continue
-        rows = (a, b, c)
-        for cols in _partitions_into_triangles(lines, tris):
-            if set(cols) == set(rows):
-                continue
-            if all(len(r & col) == 1 for r in rows for col in cols):
-                nines.add(lines)
-                break
+        # three pairwise-disjoint columns, each meeting rows a and b in one
+        # line; their remaining three lines must be the third row
+        cols = [t for t in tris if len(t & a) == 1 and len(t & b) == 1]
+        for x, y, z in combinations(cols, 3):
+            if not (x & y or x & z or y & z) and (x | y | z) - a - b in tri_set:
+                nines.add(x | y | z)
     return tuple(sorted(nines, key=sorted))
 
 

@@ -58,14 +58,13 @@ def _is_label_preserving(graph: incidence.IncidenceGraph, perm) -> bool:
     return bool(np.array_equal(graph.labels[np.ix_(g, g)], graph.labels))
 
 
-def verify_table1(
-    full_aut_d1: bool = False, degrees: Iterable[int] = range(1, 8)
-) -> list[Check]:
+def verify_table1(degrees: Iterable[int] = range(1, 8)) -> list[Check]:
     """Class counts and symmetry orders for the given degrees (default all).
 
-    For degree 1 the full automorphism backtracking is skipped by default
-    (minutes of work); the Weyl order and label preservation of its generators
-    are still asserted.
+    For each degree: the class count, the order of the Weyl image, that its
+    generators preserve the labels, the order of the full label-preserving
+    group found by `automorphism_group`, and that the Weyl image lies in it.
+    Degree 1 (240 vertices, order 696729600) takes about a second.
     """
     checks = [
         Check("51840 = 2^7 * 3^4 * 5", 51840, 2**7 * 3**4 * 5),
@@ -85,17 +84,16 @@ def verify_table1(
                 d,
             )
         )
-        if d >= 2 or full_aut_d1:
-            aut = automorphism_group(graph)
-            checks.append(Check(f"|Aut| for d={d}", AUT_ORDERS[d], aut.order, d))
-            checks.append(
-                Check(
-                    f"W image inside Aut for d={d}",
-                    True,
-                    all(aut.contains(g) for g in w.generators),
-                    d,
-                )
+        aut = automorphism_group(graph)
+        checks.append(Check(f"|Aut| for d={d}", AUT_ORDERS[d], aut.order, d))
+        checks.append(
+            Check(
+                f"W image inside Aut for d={d}",
+                True,
+                all(aut.contains(g) for g in w.generators),
+                d,
             )
+        )
     return checks
 
 
@@ -204,10 +202,10 @@ def schlafli_report() -> list[Check]:
     ]
 
 
-def full_report(full_aut_d1: bool = False) -> dict:
+def full_report() -> dict:
     """Everything: Table-1 checks, the six chain checks, substructure stats."""
     sections = {
-        "table1": [c.to_json() for c in verify_table1(full_aut_d1=full_aut_d1)],
+        "table1": [c.to_json() for c in verify_table1()],
         "stabilizer_chain": {
             str(d): [c.to_json() for c in stabilizer_chain_check(d)] for d in range(1, 7)
         },

@@ -62,8 +62,7 @@ def test_criterion_1_table_reproduction():
         ctx = DegreeContext(d)
         assert len(exceptional_classes(ctx)) == n
         assert weyl_image(ctx).order == order
-    # the full label-preserving groups, exact (degree 1 runs the W-order check
-    # above; its slow full-automorphism path is excluded from the timed suite)
+    # the full label-preserving groups, exact, for every degree including 1
     checks = verify_table1()
     assert all(c.ok for c in checks), [c.to_json() for c in checks if not c.ok]
     elapsed = time.time() - t0

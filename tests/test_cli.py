@@ -60,7 +60,7 @@ def test_cli_verify_single_degree(tmp_path, capsys):
 
 #: sha256 of the `verify -d N` report for each degree
 VERIFY_REPORT_SHA256 = {
-    1: "baec6d0f93507d8848fef83975aefc803fddfeb9ed1b0f9a244ef101939c813c",
+    1: "be0175e3e5f31dd1718e47e15ef56fed6efc2066108963bd7136832e08c5eef9",
     2: "6b6015b5f7be867baebbe3279d8b6eba4982af492507a66dd9ff2169216b2085",
     3: "678e9a50d52746c57316606e61282a4ffcb171182ddf839698ea872fa73954f8",
     4: "00c949811dde6f8c96ca2af503edb48a91d5bd4ac181986bfb1266a2b0855759",

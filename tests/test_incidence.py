@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from delpezzo.lattice import DegreeContext
 from delpezzo.incidence import (
     apply_to_double_six,
     apply_to_triple_nine,
+    _individualize,
+    _Refiner,
     automorphism_group,
     double_sixes,
     find_isomorphism,
@@ -18,8 +21,7 @@ from delpezzo.incidence import (
     weyl_image,
 )
 
-AUT_ORDERS = {2: 2903040, 3: 51840, 4: 1920, 5: 120, 6: 12, 7: 2}
-WEYL_ORDERS = {1: 696729600, **AUT_ORDERS}
+AUT_ORDERS = {1: 696729600, 2: 2903040, 3: 51840, 4: 1920, 5: 120, 6: 12, 7: 2}
 
 
 def graph(d):
@@ -47,14 +49,17 @@ def test_degree3_each_line_meets_ten():
     assert {int((g.labels[i] == 1).sum()) for i in range(27)} == {10}
 
 
-@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("d", range(1, 8))
 def test_automorphism_orders_match_weyl(d):
-    assert automorphism_group(graph(d)).order == AUT_ORDERS[d]
+    aut = automorphism_group(graph(d))
+    assert aut.order == AUT_ORDERS[d]
+    # orbit pruning: no coset search for a vertex already reached
+    assert len(aut.generators) <= 8
 
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_weyl_image_orders(d):
-    assert weyl_image(DegreeContext(d)).order == WEYL_ORDERS[d]
+    assert weyl_image(DegreeContext(d)).order == AUT_ORDERS[d]
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -69,7 +74,7 @@ def test_degree7_orbits_split():
     assert {len(o) for o in orbits} == {1, 2}
 
 
-@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("d", range(1, 8))
 def test_weyl_generators_are_automorphisms(d):
     g = graph(d)
     aut = automorphism_group(g)
@@ -94,6 +99,74 @@ def test_find_isomorphism_on_relabeled_graph():
     iso = find_isomorphism(shuffled, g)
     assert iso is not None
     assert np.array_equal(g.labels[np.ix_(iso, iso)], shuffled)
+
+
+def test_find_isomorphism_on_tiny_graphs():
+    assert find_isomorphism(np.array([[-1]]), np.array([[-1]])) == (0,)
+    apart = np.array([[-1, 0], [0, -1]])
+    assert find_isomorphism(apart, apart) == (0, 1)
+    assert find_isomorphism(apart, np.array([[-1, 1], [1, -1]])) is None
+    path = graph(7).labels
+    turned = path[np.ix_((2, 0, 1), (2, 0, 1))]
+    assert find_isomorphism(path, turned) == (1, 2, 0)
+
+
+def _unique_rows_refine(labels, colors):
+    """Refinement ranked by np.unique(axis=0) over int32 signatures, the
+    reference for the byte-key ranking of `_Refiner.refine`."""
+    n = labels.shape[0]
+    values = sorted(set(labels[np.triu_indices(n, 1)].tolist())) if n > 1 else []
+    masks = [(labels == v).astype(np.int32) for v in values]
+    while True:
+        k = int(colors.max()) + 1
+        onehot = np.zeros((n, k), dtype=np.int32)
+        onehot[np.arange(n), colors] = 1
+        sig = np.concatenate([colors.reshape(n, 1)] + [m @ onehot for m in masks], axis=1)
+        _, new = np.unique(sig, axis=0, return_inverse=True)
+        new = new.reshape(-1).astype(np.int64)
+        if int(new.max()) == int(colors.max()) and np.array_equal(
+            np.sort(np.bincount(new)), np.sort(np.bincount(colors))
+        ):
+            return new
+        colors = new
+
+
+def _assert_same_colors(labels, colors):
+    fast = _Refiner(labels).refine(colors)
+    assert fast.dtype == np.int64
+    assert np.array_equal(fast, _unique_rows_refine(labels, colors))
+    return fast
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_refine_colors_match_unique_rows(d):
+    labels = graph(d).labels
+    uniform = _assert_same_colors(labels, np.zeros(len(labels), dtype=np.int64))
+    v = int(np.random.default_rng(d).integers(len(labels)))
+    _assert_same_colors(labels, _individualize(uniform, v))
+
+
+def test_refine_colors_match_unique_rows_on_relabeled_degree_one():
+    labels = graph(1).labels
+    perm = np.random.default_rng(7).permutation(len(labels))
+    shuffled = labels[np.ix_(perm, perm)]
+    colors = _assert_same_colors(shuffled, np.zeros(len(labels), dtype=np.int64))
+    for v in (0, 100, 239):
+        colors = _assert_same_colors(shuffled, _individualize(colors, v))
+
+
+def test_refine_colors_match_unique_rows_past_one_byte():
+    # colors and counts above 255 use both bytes of each key entry
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.integers(0, 3, size=(300, 300)), 1)
+    labels = upper + upper.T - np.eye(300, dtype=upper.dtype)
+    colors = _assert_same_colors(labels, np.zeros(300, dtype=np.int64))
+    assert colors.max() > 255
+
+
+def test_refiner_rejects_graphs_past_sixteen_bit_keys():
+    with pytest.raises(ValueError):
+        _Refiner(np.broadcast_to(np.int8(0), (1 << 16, 1 << 16)))
 
 
 def test_tritangent_triangles():
@@ -154,6 +227,41 @@ def test_trihedral_nines_and_triple_nines():
         assert all_lines == list(range(27))
         for part in tn.parts:
             assert frozenset(part) in set(nines)
+
+
+def test_trihedral_nines_match_partition_search():
+    """Against the search over all partitions of each row-triple's nine lines
+    into triangles."""
+    g = graph(3)
+    tris = [frozenset(t) for t in tritangent_triangles(g)]
+
+    def partitions(lines):
+        inside = [t for t in tris if t <= lines]
+        out = []
+
+        def grow(remaining, chosen):
+            if not remaining:
+                out.append(tuple(sorted(chosen, key=sorted)))
+                return
+            pivot = min(remaining)
+            for t in inside:
+                if pivot in t and t <= remaining:
+                    grow(remaining - t, chosen + [t])
+
+        grow(lines, [])
+        return out
+
+    nines = set()
+    for a, b, c in combinations(tris, 3):
+        if a & b or a & c or b & c or (a | b | c) in nines:
+            continue
+        for cols in partitions(a | b | c):
+            if set(cols) != {a, b, c} and all(
+                len(r & col) == 1 for r in (a, b, c) for col in cols
+            ):
+                nines.add(a | b | c)
+                break
+    assert trihedral_nines(g) == tuple(sorted(nines, key=sorted))
 
 
 def test_aut_transitive_on_double_sixes_and_triple_nines():
