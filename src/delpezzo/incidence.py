@@ -25,7 +25,6 @@ from .lattice import (
     DegreeContext,
     LatticeVector,
     exceptional_classes,
-    pairing,
     reflect,
     simple_roots,
 )
@@ -54,11 +53,9 @@ class IncidenceGraph:
 @lru_cache(maxsize=None)
 def incidence_graph(ctx: DegreeContext) -> IncidenceGraph:
     cls = exceptional_classes(ctx)
-    n = len(cls)
-    labels = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i, n):
-            labels[i, j] = labels[j, i] = pairing(ctx, cls[i], cls[j])
+    c = np.array(cls, dtype=np.int64)
+    # the intersection pairing v0*w0 - sum_{i>=1} vi*wi of every pair at once
+    labels = np.outer(c[:, 0], c[:, 0]) - c[:, 1:] @ c[:, 1:].T
     labels.setflags(write=False)
     return IncidenceGraph(ctx.degree, cls, labels)
 

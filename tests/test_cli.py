@@ -69,6 +69,20 @@ VERIFY_REPORT_SHA256 = {
     7: "5cfdcdb9a01e52c467e629916f736d29750e6c653666fb21d5485cf48eaf4404",
 }
 
+#: sha256 of the `verify --all` and `tables` reports
+VERIFY_ALL_REPORT_SHA256 = "bfd99aa1497028d21bede6d81b837af319d5dc1f41d2d4899e8bd3382a8729e7"
+TABLES_REPORT_SHA256 = "a4629c940ed9278149f1983d6695f2d842eaf0d50e860b5257c921464a50c8b4"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--all"], VERIFY_ALL_REPORT_SHA256),
+    (["tables"], TABLES_REPORT_SHA256),
+])
+def test_cli_combinatorics_reports_are_pinned(argv, digest, tmp_path):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 @pytest.mark.parametrize("degree", sorted(VERIFY_REPORT_SHA256))
 def test_cli_verify_computes_only_the_degree_asked_for(degree, tmp_path, monkeypatch):

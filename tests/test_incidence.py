@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from delpezzo.lattice import DegreeContext
+from delpezzo.lattice import DegreeContext, exceptional_classes, pairing
 from delpezzo.incidence import (
     apply_to_double_six,
     apply_to_triple_nine,
@@ -26,6 +26,16 @@ AUT_ORDERS = {1: 696729600, 2: 2903040, 3: 51840, 4: 1920, 5: 120, 6: 12, 7: 2}
 
 def graph(d):
     return incidence_graph(DegreeContext(d))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_labels_are_the_intersection_pairing(d):
+    ctx = DegreeContext(d)
+    cls = exceptional_classes(ctx)
+    g = incidence_graph(ctx)
+    assert g.labels.dtype == np.int64
+    assert not g.labels.flags.writeable
+    assert g.labels.tolist() == [[pairing(ctx, v, w) for w in cls] for v in cls]
 
 
 def test_degree7_graph_is_a_path():

@@ -1,10 +1,10 @@
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
-from delpezzo.incidence import weyl_image
+from delpezzo.incidence import automorphism_group, incidence_graph, weyl_image
 from delpezzo.lattice import DegreeContext
 from delpezzo.permgroup import (
     CapacityError,
@@ -256,3 +256,160 @@ def test_conjugacy_classes_of_trivial_and_cyclic_groups():
     assert PermutationGroup(3, []).conjugacy_classes() == [((0, 1, 2), 1)]
     c5 = PermutationGroup(5, [(1, 2, 3, 4, 0)])
     assert [size for _, size in c5.conjugacy_classes()] == [1] * 5
+
+
+class TupleChain:
+    """Reference Schreier-Sims on tuple permutations, with the loop order of
+    `PermutationGroup`: the byte-encoded chain must reproduce its base,
+    transversals and strong generators exactly."""
+
+    def __init__(self, degree, generators, base_prefix=()):
+        self.degree = degree
+        self.generators = [tuple(g) for g in generators]
+        self.id = identity(degree)
+        # one [point, gens, transversal] per level; None stands for identity
+        self.levels = [[b, [], {b: None}] for b in base_prefix]
+        for g in self.generators:
+            self._add(g, 0)
+        self.base = tuple(point for point, _, _ in self.levels)
+        self.order = math.prod(len(t) for _, _, t in self.levels)
+
+    def rep(self, level, x):
+        u = self.levels[level][2][x]
+        return self.id if u is None else u
+
+    def _sift(self, g, start):
+        for i in range(start, len(self.levels)):
+            point, _, transversal = self.levels[i]
+            x = g[point]
+            if x == point:
+                continue
+            if x not in transversal:
+                return g, i
+            u = transversal[x]
+            if u is not None:
+                g = compose(g, inverse(u))
+        return g, len(self.levels)
+
+    def _add(self, g, start):
+        g, j = self._sift(g, start)
+        if g == self.id:
+            return
+        if j == len(self.levels):
+            b = next(x for x in range(self.degree) if g[x] != x)
+            self.levels.append([b, [], {b: None}])
+        for k in range(start, j + 1):
+            self.levels[k][1].append(g)
+        for k in range(start, j + 1):
+            self._grow_level(k, g)
+
+    def _grow_level(self, j, new_gen):
+        _, gens, transversal = self.levels[j]
+        pairs = deque((x, new_gen) for x in sorted(transversal))
+        while pairs:
+            x, s = pairs.popleft()
+            y = s[x]
+            u_x = self.rep(j, x)
+            if y in transversal:
+                schreier = compose(compose(u_x, s), inverse(self.rep(j, y)))
+                if schreier != self.id:
+                    self._add(schreier, j + 1)
+            else:
+                transversal[y] = compose(u_x, s)
+                for s2 in gens:
+                    pairs.append((y, s2))
+
+    def strong_generators(self):
+        seen = {}
+        for _, gens, _ in reversed(self.levels):
+            for g in gens:
+                seen.setdefault(g)
+        return list(seen)
+
+    def stabilizer_of_point(self, point):
+        rebased = TupleChain(self.degree, self.generators, base_prefix=(point,))
+        gens = [g for _, level_gens, _ in rebased.levels[1:] for g in level_gens]
+        return TupleChain(self.degree, gens, base_prefix=rebased.base[1:])
+
+    def elements(self):
+        def walk(i, right):
+            if i == len(self.levels):
+                yield right
+                return
+            transversal = self.levels[i][2]
+            for x in sorted(transversal):
+                u = transversal[x]
+                yield from walk(i + 1, right if u is None else compose(u, right))
+
+        return walk(0, self.id)
+
+    def uniform_random_element(self, seed):
+        rng = random.Random(seed)
+        g = self.id
+        for _, _, transversal in self.levels:
+            keys = sorted(transversal)
+            u = transversal[keys[rng.randrange(len(keys))]]
+            if u is not None:
+                g = compose(u, g)
+        return g
+
+
+def assert_same_chain(G, ref):
+    assert G.base == ref.base
+    assert G.order == ref.order
+    for i, lvl in enumerate(G._levels):
+        transversal = ref.levels[i][2]
+        assert list(lvl.transversal) == list(transversal)
+        assert [lvl.rep(x, G.degree) for x in transversal] == [
+            ref.rep(i, x) for x in transversal]
+        assert [G._decode(g) for g in lvl.gens] == ref.levels[i][1]
+    assert G.strong_generators == ref.strong_generators()
+    if G.order <= 5000:
+        assert list(G.elements()) == list(ref.elements())
+        for seed in range(3):
+            assert G.uniform_random_element(seed) == ref.uniform_random_element(seed)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_byte_chain_matches_tuple_chain_on_the_paper_groups(d):
+    ctx = DegreeContext(d)
+    for G in (weyl_image(ctx), automorphism_group(incidence_graph(ctx))):
+        ref = TupleChain(G.degree, G.generators)
+        assert_same_chain(G, ref)
+        assert_same_chain(G.stabilizer_of_point(0), ref.stabilizer_of_point(0))
+
+
+def test_byte_chain_matches_tuple_chain_on_random_groups():
+    rng = random.Random(2026)
+    for _ in range(200):
+        n = rng.randrange(1, 13)
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            # permute a random subset of the points, so that small groups occur
+            moved = rng.sample(range(n), rng.randrange(min(2, n), n + 1))
+            images = moved[:]
+            rng.shuffle(images)
+            p = list(range(n))
+            for x, y in zip(moved, images):
+                p[x] = y
+            gens.append(tuple(p))
+        G = PermutationGroup(n, gens)
+        ref = TupleChain(G.degree, G.generators)
+        assert_same_chain(G, ref)
+        point = rng.randrange(n)
+        assert_same_chain(G.stabilizer_of_point(point), ref.stabilizer_of_point(point))
+
+
+def test_byte_chain_matches_tuple_chain_at_degree_256():
+    # x -> x + 1, x -> 3x and x -> -x: the affine group of Z/256, order 256 * 128
+    gens = [tuple((x + a) * m % 256 for x in range(256)) for a, m in ((1, 1), (0, 3), (0, -1))]
+    G = PermutationGroup(256, gens)
+    assert G.order == 256 * 128
+    assert_same_chain(G, TupleChain(G.degree, G.generators))
+    assert G.contains(tuple(255 - x for x in range(256)))
+    assert not G.contains((1, 0) + tuple(range(2, 256)))
+
+
+def test_degree_past_256_is_rejected():
+    with pytest.raises(ValueError, match="at most 256 points, got 257"):
+        PermutationGroup(257, [])
