@@ -8,15 +8,16 @@ sizes), the cycle-type sets of the classical stabilizer subgroups, and the
 certificates built on them.
 
 Soundness of the exclusion logic: if the Galois image stabilizes some double
-six, it lies in a conjugate of the double-six stabilizer, so every Frobenius
-element has a cycle type from that subgroup's set (cycle types are conjugation
-invariant, and transitivity on double sixes is verified elsewhere, so one
-representative subgroup suffices).  A place whose whole ambiguity set avoids
-the set therefore rules the stabilization out.  Triviality of the first
-cohomology follows when both the double-six and the componentwise triple-nine
-stabilizations are excluded; the 5-part vanishes unconditionally.  An
-independent oracle computes the cohomology of any single incidence-preserving
-permutation exactly on the rank-7 lattice via integer Smith normal form.
+six, every Frobenius element fixes that double six, so its class is one whose
+representative fixes some double six, and its cycle type is in the subgroup's
+set (the table build checks by Burnside's count that the group is transitive
+on double sixes, so these are the classes meeting any one double-six
+stabilizer).  A place whose whole ambiguity set avoids the set therefore rules
+the stabilization out.  Triviality of the first cohomology follows when both
+the double-six and the componentwise triple-nine stabilizations are excluded;
+the 5-part vanishes unconditionally.  An independent oracle computes the
+cohomology of any single incidence-preserving permutation exactly on the
+rank-7 lattice via integer Smith normal form.
 """
 
 from __future__ import annotations
@@ -236,9 +237,6 @@ class ClassTable:
     char_polys_separate_classes: bool
     content_hash: str
 
-    def row_by_cycle_type(self, ct: tuple[int, ...]) -> list[ClassRow]:
-        return [r for r in self.rows if r.cycle_type == ct]
-
     def all_cycle_types(self) -> frozenset[tuple[int, ...]]:
         return frozenset(r.cycle_type for r in self.rows)
 
@@ -256,16 +254,24 @@ SUBGROUP_NAMES = (
 )
 
 
+def _stabilizes(g: Permutation, blocks) -> bool:
+    """Whether the line permutation g maps each line set in `blocks` onto a
+    member of `blocks` (a single set onto itself)."""
+    return all(frozenset(g[x] for x in b) in blocks for b in blocks)
+
+
 @lru_cache(maxsize=None)
 def build_class_table() -> ClassTable:
     """Derive the full 25-row class table and the stabilizer cycle-type sets
     from scratch; everything is content-hashed for report provenance.
 
     The group is enumerated once, as an array whose rows carry conjugacy-class
-    labels.  Class functions (cycle type, the lattice lift and its
-    determinant) are computed on the 25 representatives only and reach the
-    other elements through the labels; the stabilizer subgroups are not
-    normal, so their membership masks stay per element."""
+    labels; only the class sizes and the 25 representatives are read from it.
+    Every class function is computed on the representatives: cycle type, the
+    lattice lift, and the number of members of each family of lines (lines,
+    double sixes, tritangent triangles, triple nines) it fixes, which gives
+    each stabilizer's order and the classes it meets.  Burnside's count
+    confirms that the group is transitive on each family."""
     ctx = DegreeContext(3)
     graph = incidence_graph(ctx)
     w = weyl_image(ctx)
@@ -273,10 +279,9 @@ def build_class_table() -> ClassTable:
 
     elements, labels = w.class_labels()
     rep_rows, sizes = np.unique(labels, return_counts=True)
-    class_of = np.searchsorted(rep_rows, labels)  # per element: index into rep_rows
     reps = [tuple(int(x) for x in elements[r]) for r in rep_rows]
     types = [cycle_type(rep) for rep in reps]
-    determinants = np.array([round(np.linalg.det(lattice_matrix(rep))) for rep in reps])
+    determinants = [round(np.linalg.det(lattice_matrix(rep))) for rep in reps]
     by_order = sorted(range(len(reps)), key=lambda i: (math.lcm(*types[i]), types[i], reps[i]))
     rows = []
     for class_id, i in enumerate(by_order):
@@ -302,46 +307,30 @@ def build_class_table() -> ClassTable:
     assert sum(r.class_size for r in rows) == 51840
     assert len(rows) == 25
 
-    ds0 = double_sixes(graph)[0]
-    ds_set = np.zeros(27, dtype=bool)
-    for x in ds0.line_set:
-        ds_set[x] = True
-    tri0 = tritangent_triangles(graph)[0]
-    tri_set = np.zeros(27, dtype=bool)
-    for x in tri0:
-        tri_set[x] = True
-    tn0 = triple_nines(graph)[0]
-    part_id = np.zeros(27, dtype=np.int64)
-    for pid, part in enumerate(tn0.parts):
-        for x in part:
-            part_id[x] = pid
-
-    line_mask = elements[:, 0] == 0
-    # image of the marked set stays inside the marked set
-    ds_mask = (ds_set[elements] & ds_set[None, :]).sum(axis=1) == 12
-    tri_mask = (tri_set[elements] & tri_set[None, :]).sum(axis=1) == 3
-    comp_mask = (part_id[elements] == part_id[None, :]).all(axis=1)
-    set_mask = np.ones(len(elements), dtype=bool)
-    for pid in range(3):
-        src = part_id[None, :] == pid
-        mx = np.max(np.where(src, part_id[elements], -1), axis=1)
-        mn = np.min(np.where(src, part_id[elements], 99), axis=1)
-        set_mask &= mx == mn
-    even_mask = determinants[class_of] == 1
-
-    masks = {
-        "LineStab": line_mask,
-        "DoubleSixStab": ds_mask,
-        "TritangentStab": tri_mask,
-        "TripleNineComponentwiseStab": comp_mask,
-        "TripleNineSetStab": set_mask,
-        "EvenSubgroup": even_mask,
+    # Each subgroup stabilizes one member of a family the group permutes.  A
+    # class meets a conjugate of it exactly when its representative fixes some
+    # member of that member's orbit, and |Stab| = sum |C| fix(C) / |family|.
+    nines = [t.as_sets for t in triple_nines(graph)]
+    setwise = {
+        "LineStab": [(frozenset({x}),) for x in range(27)],
+        "DoubleSixStab": [(d.line_set,) for d in double_sixes(graph)],
+        "TritangentStab": [(frozenset(t),) for t in tritangent_triangles(graph)],
+        "TripleNineSetStab": nines,
     }
+    fixed = {name: (len(family), [sum(_stabilizes(g, x) for x in family) for g in reps])
+             for name, family in setwise.items()}
+    for name, (_, fix) in fixed.items():
+        assert sizes @ fix == 51840, f"{name}: the group has more than one orbit (Burnside)"
+    fixed["TripleNineComponentwiseStab"] = (
+        len(nines), [sum(all(_stabilizes(g, (p,)) for p in parts) for parts in nines) for g in reps])
+    fixed["EvenSubgroup"] = (1, [int(det == 1) for det in determinants])  # the orientation
     subgroups = {}
     for name in SUBGROUP_NAMES:
-        mask = masks[name]
-        met = frozenset(types[i] for i in np.unique(class_of[mask]))
-        subgroups[name] = SubgroupCycleSet(name, int(mask.sum()), met)
+        size, fix = fixed[name]
+        order, rest = divmod(int(sizes @ fix), size)
+        assert rest == 0 and 51840 % order == 0, f"{name}: order {order} does not divide 51840"
+        met = frozenset(ct for ct, f in zip(types, fix) if f)
+        subgroups[name] = SubgroupCycleSet(name, order, met)
 
     types_by_class = [r.cycle_type for r in rows]
     polys_by_class = [r.char_poly for r in rows]
@@ -374,11 +363,6 @@ class PlaceEvidence:
             raise ValueError("an ambiguity set must be nonempty")
 
 
-@dataclass(frozen=True)
-class CycleTypeObservation:
-    places: tuple[PlaceEvidence, ...]
-
-
 NO_STABLE_DOUBLE_SIX = "NoStableDoubleSix"
 NO_STABLE_TRIPLE_NINE = "NoStableTripleNine"
 H1_TRIVIAL = "H1Trivial"
@@ -401,24 +385,24 @@ class Certificate:
 
 
 def _excluding_place(
-    obs: CycleTypeObservation, table: ClassTable, subgroup: str
+    places: tuple[PlaceEvidence, ...], table: ClassTable, subgroup: str
 ) -> str | None:
     """A place whose entire ambiguity set has cycle types outside the
     subgroup's set, or None (conservative semantics)."""
     allowed = table.subgroups[subgroup].cycle_types
-    for pe in obs.places:
+    for pe in places:
         if all(table.rows[c].cycle_type not in allowed for c in pe.class_ids):
             return pe.place
     return None
 
 
-def h1_certificate(obs: CycleTypeObservation, table: ClassTable | None = None) -> Certificate:
+def h1_certificate(places: tuple[PlaceEvidence, ...], table: ClassTable | None = None) -> Certificate:
     """Triviality of the first cohomology from place evidence: excluding a
     stable double six kills the 2-part, excluding a componentwise-stable
     triple nine kills the 3-part, and the 5-part is never present."""
     table = table or build_class_table()
-    ds = _excluding_place(obs, table, "DoubleSixStab")
-    tn = _excluding_place(obs, table, "TripleNineComponentwiseStab")
+    ds = _excluding_place(places, table, "DoubleSixStab")
+    tn = _excluding_place(places, table, "TripleNineComponentwiseStab")
     if ds and tn:
         return Certificate(
             H1_TRIVIAL,
@@ -437,16 +421,14 @@ def h1_certificate(obs: CycleTypeObservation, table: ClassTable | None = None) -
 
 
 def subgroup_exclusion_certificate(
-    obs: CycleTypeObservation,
-    table: ClassTable | None = None,
-    names: tuple[str, ...] = SUBGROUP_NAMES,
+    places: tuple[PlaceEvidence, ...], table: ClassTable | None = None
 ) -> Certificate:
     """NotInListedSubgroups when every listed subgroup is excluded by some
     place; the claim is exactly non-containment in the listed subgroups."""
     table = table or build_class_table()
     witnesses = {}
-    for name in names:
-        place = _excluding_place(obs, table, name)
+    for name in SUBGROUP_NAMES:
+        place = _excluding_place(places, table, name)
         if place is None:
             return Certificate(INCONCLUSIVE, witnesses, table.content_hash)
         witnesses[name] = place
@@ -495,10 +477,8 @@ def oracle_cross_validation(table: ClassTable | None = None) -> list[dict]:
         invs = h1_cyclic_oracle(row.representative)
         h1_order = math.prod(invs) if invs else 1
         g = row.representative
-        stabilizes_ds = any(all(g[x] in s for x in s) for s in ds_sets)
-        stabilizes_tn = any(
-            all(all(g[x] in part for x in part) for part in parts) for parts in tn_parts
-        )
+        stabilizes_ds = any(_stabilizes(g, (s,)) for s in ds_sets)
+        stabilizes_tn = any(all(_stabilizes(g, (p,)) for p in parts) for parts in tn_parts)
         out.append(
             {
                 "class_id": row.class_id,

@@ -15,13 +15,11 @@ use the comma-separated coefficient format, constant term first.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
 from . import __version__
-from .certify import build_class_table, h1_certificate, subgroup_exclusion_certificate
-from .certify import CycleTypeObservation, PlaceEvidence
+from .certify import PlaceEvidence, build_class_table, h1_certificate, subgroup_exclusion_certificate
 from .experiment import (
     BadPlaceError,
     ExperimentConfig,
@@ -106,7 +104,7 @@ def read_surface_file(path: str):
 
 
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    text = report_to_json(report)
     if getattr(args, "json", None):
         with open(args.json, "w") as fh:
             fh.write(text)
@@ -152,9 +150,7 @@ def _analyze_finite_field_surface(form: CubicForm, table, args) -> dict:
         report["traces"] = None
         report["trace_error"] = str(exc)
     if verdict.status == SMOOTH_CERTIFIED:
-        # lines over every field with tables that the line budget allows
-        ev = frobenius_class(form, table, point_budget=args.budget_points, line_budget=args.budget_lines,
-                             max_line_field=TABLE_FIELD_CAP)
+        ev = frobenius_class(form, table, point_budget=args.budget_points, line_budget=args.budget_lines)
         report["frobenius"] = ev.to_json()
         report["rational_lines"] = ev.line_counts.get(1)
         report["splitting_degree"] = splitting_degree(ev, table)
@@ -164,7 +160,7 @@ def _analyze_finite_field_surface(form: CubicForm, table, args) -> dict:
 def _analyze_function_field_surface(form: FunctionFieldCubic, table, args) -> dict:
     places = places_up_to(form.base, args.max_place_degree)
     per_place = []
-    evidence = []
+    evidence: tuple[PlaceEvidence, ...] = ()
     for place in places:
         label = place.format()
         entry = {"place": label}
@@ -180,7 +176,7 @@ def _analyze_function_field_surface(form: FunctionFieldCubic, table, args) -> di
         entry["status"] = sub["smoothness"]["status"]
         per_place.append(entry)
         if "frobenius" in sub:
-            evidence.append(PlaceEvidence(label, tuple(sub["frobenius"]["class_ids"])))
+            evidence += (PlaceEvidence(label, tuple(sub["frobenius"]["class_ids"])),)
     report = {
         "base_field": {"p": form.base.p, "k": form.base.k},
         "coefficients": [c.format() or "0" for c in form.coeffs],
@@ -188,9 +184,8 @@ def _analyze_function_field_surface(form: FunctionFieldCubic, table, args) -> di
         "table_hash": table.content_hash,
     }
     if evidence:
-        obs = CycleTypeObservation(tuple(evidence))
-        report["h1_certificate"] = h1_certificate(obs, table).to_json()
-        report["subgroup_exclusion"] = subgroup_exclusion_certificate(obs, table).to_json()
+        report["h1_certificate"] = h1_certificate(evidence, table).to_json()
+        report["subgroup_exclusion"] = subgroup_exclusion_certificate(evidence, table).to_json()
     return report
 
 
@@ -241,12 +236,7 @@ def cmd_density(args) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     report = run_density(config)
-    text = report_to_json(report)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report, args)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(report_to_csv(report))

@@ -24,7 +24,6 @@ from functools import lru_cache
 
 from .certify import (
     Certificate,
-    CycleTypeObservation,
     H1_TRIVIAL,
     NOT_IN_LISTED_SUBGROUPS,
     NO_STABLE_DOUBLE_SIX,
@@ -138,7 +137,8 @@ class ExperimentConfig:
     min_usable_places: int = 3
     point_budget: int = 300_000
     # nominal pattern count; the line scan's real cost is ~(field size)^2,
-    # so this reaches extensions of size 512 at interactive speed
+    # so this reaches fields of order up to 562 (GF(512) for q = 2) at
+    # interactive speed
     line_budget: int = 10**11
     seed: str = "0"
     early_stop: bool = True
@@ -172,7 +172,6 @@ class ExperimentConfig:
 
 @dataclass
 class SampleOutcome:
-    index: int
     used_places: list[str]
     bad_places: list[str]
     h1: Certificate | None
@@ -194,10 +193,9 @@ def analyze_sample(
     places: list[UniPoly],
     config: ExperimentConfig,
     table,
-    index: int = 0,
 ) -> SampleOutcome:
     """Gather place evidence for one function-field surface and certify."""
-    evidence: list[PlaceEvidence] = []
+    evidence: tuple[PlaceEvidence, ...] = ()
     used: list[str] = []
     bad: list[str] = []
     h1 = exclusion = None
@@ -215,10 +213,9 @@ def analyze_sample(
             special, table, point_budget=config.point_budget, line_budget=config.line_budget
         )
         used.append(label)
-        evidence.append(PlaceEvidence(label, ev.class_ids))
-        obs = CycleTypeObservation(tuple(evidence))
-        h1 = h1_certificate(obs, table)
-        exclusion = subgroup_exclusion_certificate(obs, table)
+        evidence += (PlaceEvidence(label, ev.class_ids),)
+        h1 = h1_certificate(evidence, table)
+        exclusion = subgroup_exclusion_certificate(evidence, table)
         if (
             config.early_stop
             and len(used) >= config.min_usable_places
@@ -227,7 +224,7 @@ def analyze_sample(
         ):
             break
     skipped = len(used) < config.min_usable_places
-    return SampleOutcome(index, used, bad, h1, exclusion, skipped)
+    return SampleOutcome(used, bad, h1, exclusion, skipped)
 
 
 def run_density(config: ExperimentConfig) -> dict:
@@ -252,7 +249,7 @@ def run_density(config: ExperimentConfig) -> dict:
         for index in range(config.samples_per_degree):
             rng = CounterRng(f"{config.seed}/q{config.q}/D{degree_bound}/n{index}")
             form = sample_form(base, degree_bound, rng)
-            outcome = analyze_sample(form, places, config, table, index)
+            outcome = analyze_sample(form, places, config, table)
             if outcome.skipped:
                 tallies["skipped"] += 1
                 continue

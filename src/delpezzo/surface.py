@@ -31,8 +31,8 @@ under field extension, so the test needs no extension field and no budget.
 A `CubicForm` builds each extension, its encoded terms and its point count
 once; `count_points` is a view of that count.  A point scan over GF(q^m) needs
 q^(3m) within the point budget; a line scan needs q^(4m) within the line
-budget and q^m within the field bound and LINE_ENUMERATION_FIELD_CAP, the
-order up to which fields have tables.
+budget and q^m within TABLE_FIELD_CAP, the order up to which fields have
+tables.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ def _monomials(degree: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 MONOMIALS = _monomials(3)
-
-#: line scans need the field's arithmetic tables
-LINE_ENUMERATION_FIELD_CAP = TABLE_FIELD_CAP
 
 #: permissive default work budgets; drivers usually pass something smaller
 DEFAULT_POINT_BUDGET = 10**9
@@ -248,9 +245,10 @@ def _points_fit(q: int, m: int, budget: int) -> bool:
     return q ** (3 * m) <= budget
 
 
-def _lines_fit(q: int, m: int, budget: int, max_field: int = LINE_ENUMERATION_FIELD_CAP) -> bool:
-    """The line gate: a scan over GF(q^m) costs q^(4m) row pairs."""
-    return q ** (4 * m) <= budget and q**m <= min(max_field, LINE_ENUMERATION_FIELD_CAP)
+def _lines_fit(q: int, m: int, budget: int) -> bool:
+    """The line gate: a scan over GF(q^m) costs q^(4m) row pairs and needs
+    the field's arithmetic tables."""
+    return q ** (4 * m) <= budget and q**m <= TABLE_FIELD_CAP
 
 
 def count_points(form: CubicForm, budget: int = DEFAULT_POINT_BUDGET) -> int:
@@ -537,7 +535,6 @@ def frobenius_class(
     class_table,
     point_budget: int = DEFAULT_POINT_BUDGET,
     line_budget: int = DEFAULT_LINE_BUDGET,
-    max_line_field: int = 512,
 ) -> FrobeniusEvidence:
     """Every conjugacy class consistent with the rational-line counts over the
     extensions and traces within budget; raises when no class fits.
@@ -552,7 +549,7 @@ def frobenius_class(
     for m in range(1, FROBENIUS_DEPTH + 1):
         if len(candidates) == 1:
             break
-        if _lines_fit(q, m, line_budget, max_line_field):
+        if _lines_fit(q, m, line_budget):
             counts[m] = len(lines_on_surface(form.extend(m), budget=line_budget))
         if _points_fit(q, m, point_budget):
             traces[m] = _weil_trace(count_points(form.extend(m), budget=point_budget), q, m)

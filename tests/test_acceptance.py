@@ -140,7 +140,6 @@ def _certified_pool(q: int, want: int, screen_budget: int, line_budget: int):
             table,
             point_budget=screen_budget,
             line_budget=line_budget,
-            max_line_field=2048,
         )
         if ev.pinned:
             out.append((form, table.rows[ev.class_ids[0]]))
@@ -186,7 +185,6 @@ def test_criterion_6_lefschetz_consistency():
             table,
             point_budget=20_000,
             line_budget=2 * 10**11,
-            max_line_field=2048,
         )
         assert ev.pinned, (q, coeffs)
         row = table.rows[ev.class_ids[0]]

@@ -10,7 +10,6 @@ from delpezzo.certify import (
     NO_STABLE_DOUBLE_SIX,
     NO_STABLE_TRIPLE_NINE,
     ClassTable,
-    CycleTypeObservation,
     PlaceEvidence,
     SUBGROUP_NAMES,
     build_class_table,
@@ -24,8 +23,9 @@ from delpezzo.certify import (
     smith_normal_form,
     subgroup_exclusion_certificate,
 )
-from delpezzo.incidence import weyl_image
+from delpezzo.incidence import double_sixes, incidence_graph, triple_nines, tritangent_triangles, weyl_image
 from delpezzo.lattice import DegreeContext
+from delpezzo.permgroup import cycle_type
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +69,55 @@ def test_subgroup_orders_match_orbit_stabilizer(table):
     comp = table.subgroups["TripleNineComponentwiseStab"].order
     assert comp == 216
     assert table.subgroups["TripleNineSetStab"].order % comp == 0
+
+
+def _per_element_subgroups():
+    """The stabilizer cycle-type sets from membership masks over all 51840
+    elements: the slow reference for the fixed-object counts of the table."""
+    graph = incidence_graph(DegreeContext(3))
+    elements, labels = weyl_image(DegreeContext(3)).class_labels()
+    rep_rows = np.unique(labels)
+    class_of = np.searchsorted(rep_rows, labels)
+    reps = [tuple(int(x) for x in elements[r]) for r in rep_rows]
+    determinants = np.array([round(np.linalg.det(lattice_matrix(rep))) for rep in reps])
+    ds_set = np.zeros(27, dtype=bool)
+    ds_set[list(double_sixes(graph)[0].line_set)] = True
+    tri_set = np.zeros(27, dtype=bool)
+    tri_set[list(tritangent_triangles(graph)[0])] = True
+    part_id = np.zeros(27, dtype=np.int64)
+    for pid, part in enumerate(triple_nines(graph)[0].parts):
+        part_id[list(part)] = pid
+    set_mask = np.ones(len(elements), dtype=bool)
+    for pid in range(3):
+        src = part_id[None, :] == pid
+        mx = np.max(np.where(src, part_id[elements], -1), axis=1)
+        mn = np.min(np.where(src, part_id[elements], 99), axis=1)
+        set_mask &= mx == mn
+    masks = {
+        "LineStab": elements[:, 0] == 0,
+        "DoubleSixStab": (ds_set[elements] & ds_set[None, :]).sum(axis=1) == 12,
+        "TritangentStab": (tri_set[elements] & tri_set[None, :]).sum(axis=1) == 3,
+        "TripleNineComponentwiseStab": (part_id[elements] == part_id[None, :]).all(axis=1),
+        "TripleNineSetStab": set_mask,
+        "EvenSubgroup": determinants[class_of] == 1,
+    }
+    return {
+        name: (int(mask.sum()), frozenset(cycle_type(reps[i]) for i in np.unique(class_of[mask])))
+        for name, mask in masks.items()
+    }
+
+
+def test_subgroups_agree_with_per_element_masks(table):
+    reference = _per_element_subgroups()
+    assert set(reference) == set(SUBGROUP_NAMES)
+    for name in SUBGROUP_NAMES:
+        sub = table.subgroups[name]
+        assert (sub.order, sub.cycle_types) == reference[name], name
+
+
+def test_line_stabilizer_order_from_schreier_sims(table):
+    stab = weyl_image(DegreeContext(3)).stabilizer_of_point(0)
+    assert stab.order == table.subgroups["LineStab"].order == 1920
 
 
 def test_every_subgroup_cycle_set_is_proper(table):
@@ -192,34 +241,30 @@ def test_h1_certificate_kinds(table):
     outside_both = _class_with(
         table, lambda r: r.cycle_type not in ds and r.cycle_type not in tn
     )
-    obs = CycleTypeObservation((PlaceEvidence("p1", (outside_both.class_id,)),))
-    cert = h1_certificate(obs, table)
+    places = (PlaceEvidence("p1", (outside_both.class_id,)),)
+    cert = h1_certificate(places, table)
     assert cert.kind == H1_TRIVIAL
     assert set(cert.witnesses) == {"DoubleSixStab", "TripleNineComponentwiseStab"}
     assert cert.table_hash == table.content_hash
 
-    identity_only = CycleTypeObservation((PlaceEvidence("p1", (0,)),))
+    identity_only = (PlaceEvidence("p1", (0,)),)
     assert h1_certificate(identity_only, table).kind == INCONCLUSIVE
 
     # ambiguity straddling the double-six set blocks that exclusion
     inside_ds = _class_with(table, lambda r: r.cycle_type in ds and r.cycle_type not in tn)
-    straddle = CycleTypeObservation(
-        (PlaceEvidence("p1", (outside_both.class_id, inside_ds.class_id)),)
-    )
+    straddle = (PlaceEvidence("p1", (outside_both.class_id, inside_ds.class_id)),)
     assert h1_certificate(straddle, table).kind == NO_STABLE_TRIPLE_NINE
 
 
 def test_subgroup_exclusion_certificate(table):
     assert (
-        subgroup_exclusion_certificate(
-            CycleTypeObservation((PlaceEvidence("p1", (0,)),)), table
-        ).kind
+        subgroup_exclusion_certificate((PlaceEvidence("p1", (0,)),), table).kind
         == INCONCLUSIVE
     )
     # a high-order class excludes precisely the subgroups missing its type
     order12 = _class_with(table, lambda r: r.element_order == 12)
-    obs = CycleTypeObservation((PlaceEvidence("p1", (order12.class_id,)),))
-    cert = subgroup_exclusion_certificate(obs, table)
+    places = (PlaceEvidence("p1", (order12.class_id,)),)
+    cert = subgroup_exclusion_certificate(places, table)
     for name in SUBGROUP_NAMES:
         if order12.cycle_type not in table.subgroups[name].cycle_types:
             if cert.kind == NOT_IN_LISTED_SUBGROUPS:
@@ -231,19 +276,17 @@ def test_full_exclusion_with_two_sharp_places(table):
     order9 = _class_with(table, lambda r: r.element_order == 9)
     even = table.subgroups["EvenSubgroup"].cycle_types
     odd_class = _class_with(table, lambda r: r.cycle_type not in even)
-    obs = CycleTypeObservation(
-        (
-            PlaceEvidence("p1", (order9.class_id,)),
-            PlaceEvidence("p2", (odd_class.class_id,)),
-        )
+    places = (
+        PlaceEvidence("p1", (order9.class_id,)),
+        PlaceEvidence("p2", (odd_class.class_id,)),
     )
-    cert = subgroup_exclusion_certificate(obs, table)
+    cert = subgroup_exclusion_certificate(places, table)
     # order 9 kills every listed stabilizer of order prime to 9; whether the
     # pair suffices for all six is a table fact, not an assumption
     expected = all(
         any(
             all(table.rows[c].cycle_type not in table.subgroups[n].cycle_types for c in pe.class_ids)
-            for pe in obs.places
+            for pe in places
         )
         for n in SUBGROUP_NAMES
     )

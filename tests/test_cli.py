@@ -174,9 +174,10 @@ def test_cli_surface_line_budget_is_q_to_the_fourth(tmp_path):
 
 
 def test_cli_surface_counts_rational_lines_past_the_density_field_bound(tmp_path):
-    # density counts lines over fields up to order 512 only; the report
-    # counts them over GF(521) too, where x^3 + y^3 + z^3 + w^3 has the 3
-    # lines x = -y, z = -w and their permutations (521 = 2 mod 3)
+    # density and surface share one line gate, which admits GF(521) at the
+    # default budget (521^4 <= 10^11, and the field has tables); there
+    # x^3 + y^3 + z^3 + w^3 has the 3 lines x = -y, z = -w and their
+    # permutations (521 = 2 mod 3)
     src = tmp_path / "fermat521.txt"
     src.write_text(f"521 1 : {FERMAT}\n")
     out = tmp_path / "report.json"

@@ -5,7 +5,7 @@ import pytest
 
 from delpezzo.certify import build_class_table
 from delpezzo import surface
-from delpezzo.gf import TABLE_FIELD_CAP, FieldSizeError, field
+from delpezzo.gf import FieldSizeError, field
 from delpezzo.surface import (
     MONOMIALS,
     BudgetExceeded,
@@ -99,9 +99,8 @@ def test_line_budget_is_q_to_the_fourth():
 def test_line_gate_stops_at_the_table_cap():
     # one cap: the line gate refuses fields without tables, and the exact
     # smoothness test, which needs the tables, raises above the cap
-    assert surface.LINE_ENUMERATION_FIELD_CAP == TABLE_FIELD_CAP
-    assert surface._lines_fit(2, 16, 10**100, max_field=2**20)
-    assert not surface._lines_fit(2, 17, 10**100, max_field=2**20)
+    assert surface._lines_fit(2, 16, 10**100)
+    assert not surface._lines_fit(2, 17, 10**100)
     with pytest.raises(FieldSizeError, match="above order"):
         smoothness_certificate(CubicForm.fermat(field(2, 17)))
 
@@ -201,6 +200,14 @@ def test_frobenius_class_fermat():
     assert ev2.pinned
     assert table.rows[ev2.class_ids[0]].cycle_type == (2,) * 12 + (1,) * 3
     assert splitting_degree(ev2, table) == 2
+
+
+def test_frobenius_class_counts_lines_wherever_the_line_budget_allows():
+    # one line rule: 521^4 <= 10^11 and GF(521) has tables, so the Fermat
+    # surface's 3 rational lines (521 = 2 mod 3) are counted, as `surface` does
+    ev = frobenius_class(CubicForm.fermat(field(521)), build_class_table(),
+                         point_budget=1000, line_budget=10**11)
+    assert ev.line_counts == {1: 3}
 
 
 def test_frobenius_class_refuses_certified_nonsmooth():
