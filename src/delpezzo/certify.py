@@ -265,8 +265,8 @@ def build_class_table() -> ClassTable:
     """Derive the full 25-row class table and the stabilizer cycle-type sets
     from scratch; everything is content-hashed for report provenance.
 
-    The group is enumerated once, as an array whose rows carry conjugacy-class
-    labels; only the class sizes and the 25 representatives are read from it.
+    The group is enumerated once by `conjugacy_classes`, which gives the class
+    sizes and the 25 lexicographically least representatives.
     Every class function is computed on the representatives: cycle type, the
     lattice lift, and the number of members of each family of lines (lines,
     double sixes, tritangent triangles, triple nines) it fixes, which gives
@@ -277,9 +277,8 @@ def build_class_table() -> ClassTable:
     w = weyl_image(ctx)
     assert w.order == 51840
 
-    elements, labels = w.class_labels()
-    rep_rows, sizes = np.unique(labels, return_counts=True)
-    reps = [tuple(int(x) for x in elements[r]) for r in rep_rows]
+    reps, sizes = zip(*w.conjugacy_classes())
+    sizes = np.array(sizes)
     types = [cycle_type(rep) for rep in reps]
     determinants = [round(np.linalg.det(lattice_matrix(rep))) for rep in reps]
     by_order = sorted(range(len(reps)), key=lambda i: (math.lcm(*types[i]), types[i], reps[i]))

@@ -21,14 +21,13 @@ import sys
 from . import __version__
 from .certify import PlaceEvidence, build_class_table, h1_certificate, subgroup_exclusion_certificate
 from .experiment import (
-    BadPlaceError,
     ExperimentConfig,
     FunctionFieldCubic,
+    place_evidence,
     places_up_to,
     report_to_csv,
     report_to_json,
     run_density,
-    specialize,
 )
 from .gf import TABLE_FIELD_CAP, FieldSizeError, UniPoly, field, is_prime
 from .surface import (
@@ -134,8 +133,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _analyze_finite_field_surface(form: CubicForm, table, args) -> dict:
-    verdict = smoothness_certificate(form)
+def _surface_report(form: CubicForm, verdict, ev, table, args) -> dict:
+    """The report of one surface over a finite field, from its smoothness
+    verdict and its Frobenius evidence (None unless smooth)."""
     report = {
         "field": {"p": form.field.p, "k": form.field.k},
         "coefficients": form.coefficient_encodings(),
@@ -149,34 +149,34 @@ def _analyze_finite_field_surface(form: CubicForm, table, args) -> dict:
     except NotSmoothOrBadReduction as exc:
         report["traces"] = None
         report["trace_error"] = str(exc)
-    if verdict.status == SMOOTH_CERTIFIED:
-        ev = frobenius_class(form, table, point_budget=args.budget_points, line_budget=args.budget_lines)
+    if ev is not None:
         report["frobenius"] = ev.to_json()
         report["rational_lines"] = ev.line_counts.get(1)
         report["splitting_degree"] = splitting_degree(ev, table)
     return report
 
 
+def _analyze_finite_field_surface(form: CubicForm, table, args) -> dict:
+    verdict = smoothness_certificate(form)
+    ev = None
+    if verdict.status == SMOOTH_CERTIFIED:
+        ev = frobenius_class(form, table, point_budget=args.budget_points, line_budget=args.budget_lines)
+    return _surface_report(form, verdict, ev, table, args)
+
+
 def _analyze_function_field_surface(form: FunctionFieldCubic, table, args) -> dict:
-    places = places_up_to(form.base, args.max_place_degree)
     per_place = []
     evidence: tuple[PlaceEvidence, ...] = ()
-    for place in places:
-        label = place.format()
-        entry = {"place": label}
-        try:
-            special = specialize(form, place)
-        except BadPlaceError as exc:
-            entry["status"] = "bad_place"
-            entry["detail"] = str(exc)
-            per_place.append(entry)
+    records = place_evidence(form, places_up_to(form.base, args.max_place_degree), table,
+                             args.budget_points, args.budget_lines)
+    for label, reduction, verdict, ev in records:
+        if verdict is None:
+            per_place.append({"place": label, "status": "bad_place", "detail": str(reduction)})
             continue
-        sub = _analyze_finite_field_surface(special, table, args)
-        entry.update(sub)
-        entry["status"] = sub["smoothness"]["status"]
-        per_place.append(entry)
-        if "frobenius" in sub:
-            evidence += (PlaceEvidence(label, tuple(sub["frobenius"]["class_ids"])),)
+        entry = _surface_report(reduction, verdict, ev, table, args)
+        per_place.append({"place": label, **entry, "status": verdict.status})
+        if ev is not None:
+            evidence += (PlaceEvidence(label, ev.class_ids),)
     report = {
         "base_field": {"p": form.base.p, "k": form.base.k},
         "coefficients": [c.format() or "0" for c in form.coeffs],
@@ -228,7 +228,6 @@ def cmd_density(args) -> int:
         point_budget=args.budget_points,
         line_budget=args.budget_lines,
         seed=args.seed,
-        early_stop=not args.no_early_stop,
     )
     try:
         config.validate()
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="samples with fewer usable places count as skipped")
     _add_budget_flags(p_density, 300_000, 10**11)
     p_density.add_argument("--seed", default="0")
-    p_density.add_argument("--no-early-stop", action="store_true")
     p_density.add_argument("--json", help="write the JSON report here")
     p_density.add_argument("--csv", help="write the per-degree CSV here")
     p_density.set_defaults(func=cmd_density)

@@ -3,10 +3,10 @@
 Cubic forms with polynomial coefficients of degree <= D are sampled uniformly
 (seeded, counter-based RNG, documented below), specialized at the finite
 places of degree <= s (monic irreducibles in counter order; the place at
-infinity is skipped), and every usable place contributes its Frobenius
-ambiguity set.  The accumulated evidence feeds the cohomology-triviality and
-subgroup-exclusion certificates; densities are reported per coefficient
-degree bound over the skip-adjusted sample.
+infinity is skipped), and each usable place contributes its Frobenius
+ambiguity set until both the cohomology-triviality and the subgroup-exclusion
+certificates hold; densities are reported per coefficient degree bound over
+the skip-adjusted sample.
 
 RNG: block t of stream `s` is SHA-256(f"{s}:{t}"), consumed as big-endian
 64-bit words; uniform draws below n use rejection sampling.  Each sample owns
@@ -34,7 +34,7 @@ from .certify import (
     subgroup_exclusion_certificate,
 )
 from .gf import Element, FieldSpec, UniPoly, embed, field, is_prime, monic_irreducibles
-from .surface import NOT_SMOOTH, CubicForm, frobenius_class, smoothness_certificate
+from .surface import SMOOTH_CERTIFIED, CubicForm, frobenius_class, smoothness_certificate
 
 
 class CounterRng:
@@ -141,7 +141,6 @@ class ExperimentConfig:
     # interactive speed
     line_budget: int = 10**11
     seed: str = "0"
-    early_stop: bool = True
 
     def validate(self) -> None:
         if not is_prime(self.q):
@@ -166,7 +165,9 @@ class ExperimentConfig:
             "point_budget": self.point_budget,
             "line_budget": self.line_budget,
             "seed": self.seed,
-            "early_stop": self.early_stop,
+            # a sample always stops once both certificates hold; the key stays
+            # so that reports keep their bytes
+            "early_stop": True,
         }
 
 
@@ -188,37 +189,52 @@ def places_up_to(base: FieldSpec, max_degree: int, limit: int | None = None) -> 
     return list(itertools.islice(places, limit))
 
 
+def place_evidence(
+    form: FunctionFieldCubic, places: list[UniPoly], table, point_budget: int, line_budget: int
+):
+    """Per place, lazily: (label, the reduction or the BadPlaceError raised
+    instead, its smoothness verdict or None, its Frobenius evidence or None).
+    Frobenius evidence is gathered only on a smooth reduction, and a consumer
+    that stops early never specializes the later places."""
+    for place in places:
+        label = place.format()
+        try:
+            special = specialize(form, place)
+        except BadPlaceError as exc:
+            yield label, exc, None, None
+            continue
+        verdict = smoothness_certificate(special)
+        ev = None
+        if verdict.status == SMOOTH_CERTIFIED:
+            ev = frobenius_class(special, table, point_budget=point_budget, line_budget=line_budget)
+        yield label, special, verdict, ev
+
+
 def analyze_sample(
     form: FunctionFieldCubic,
     places: list[UniPoly],
     config: ExperimentConfig,
     table,
 ) -> SampleOutcome:
-    """Gather place evidence for one function-field surface and certify."""
+    """Gather place evidence for one function-field surface and certify; stop
+    once enough places are used and both certificates hold (more places only
+    strengthen them, so the tallies are those of every place)."""
     evidence: tuple[PlaceEvidence, ...] = ()
     used: list[str] = []
     bad: list[str] = []
     h1 = exclusion = None
-    for place in places[: config.max_places]:
-        label = place.format()
-        try:
-            special = specialize(form, place)
-        except BadPlaceError:
+    for label, _, _, ev in place_evidence(
+        form, places[: config.max_places], table, config.point_budget, config.line_budget
+    ):
+        if ev is None:
             bad.append(label)
             continue
-        if smoothness_certificate(special).status == NOT_SMOOTH:
-            bad.append(label)
-            continue
-        ev = frobenius_class(
-            special, table, point_budget=config.point_budget, line_budget=config.line_budget
-        )
         used.append(label)
         evidence += (PlaceEvidence(label, ev.class_ids),)
         h1 = h1_certificate(evidence, table)
         exclusion = subgroup_exclusion_certificate(evidence, table)
         if (
-            config.early_stop
-            and len(used) >= config.min_usable_places
+            len(used) >= config.min_usable_places
             and h1.kind == H1_TRIVIAL
             and exclusion.kind == NOT_IN_LISTED_SUBGROUPS
         ):

@@ -157,28 +157,6 @@ def reflect(ctx: DegreeContext, root: LatticeVector, v: LatticeVector) -> Lattic
     return tuple(a + c * b for a, b in zip(v, root))
 
 
-def _reflection_matrix(ctx: DegreeContext, root: LatticeVector) -> list[list[int]]:
-    """Matrix (rows) of the reflection in `root` acting on column vectors."""
-    rank = ctx.rank
-    cols = []
-    for j in range(rank):
-        e = tuple(1 if i == j else 0 for i in range(rank))
-        cols.append(reflect(ctx, root, e))
-    return [[cols[j][i] for j in range(rank)] for i in range(rank)]
-
-
-def _mat_apply(m: list[list[int]], v: LatticeVector) -> LatticeVector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def blow_down_map(
     ctx: DegreeContext, e: LatticeVector
 ) -> dict[LatticeVector, LatticeVector]:
@@ -196,18 +174,18 @@ def blow_down_map(
         raise ValueError(f"{e} is not an exceptional class for d={ctx.degree}")
     target = tuple(0 if i < ctx.rank - 1 else 1 for i in range(ctx.rank))
 
-    # BFS from e towards E_{9-d} through simple reflections
-    gens = [_reflection_matrix(ctx, r) for r in simple_roots(ctx)]
-    identity = [[1 if i == j else 0 for j in range(ctx.rank)] for i in range(ctx.rank)]
-    word: dict[LatticeVector, list[list[int]]] = {e: identity}
+    # BFS from e towards E_{9-d} through simple reflections; a word is the
+    # tuple of simple roots to reflect in, first to last
+    gens = simple_roots(ctx)
+    word: dict[LatticeVector, tuple[LatticeVector, ...]] = {e: ()}
     frontier = [e]
     while target not in word:
         nxt = []
         for v in frontier:
-            for g in gens:
-                w = _mat_apply(g, v)
+            for r in gens:
+                w = reflect(ctx, r, v)
                 if w not in word:
-                    word[w] = _mat_mul(g, word[v])
+                    word[w] = word[v] + (r,)
                     nxt.append(w)
         if not nxt:
             raise RuntimeError("reflection orbit does not reach the basis class")
@@ -217,7 +195,9 @@ def blow_down_map(
     out: dict[LatticeVector, LatticeVector] = {}
     for v in classes:
         if pairing(ctx, v, e) == 0:
-            w = _mat_apply(move, v)
+            w = v
+            for r in move:
+                w = reflect(ctx, r, w)
             assert w[-1] == 0
             out[v] = w[:-1]
     return out

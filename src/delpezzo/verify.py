@@ -198,7 +198,8 @@ def schlafli_report() -> list[Check]:
         Check("lines met by each line", [10], neighbor_counts),
         Check("double-six orbit count under Aut", 1, len(set(ds_orbits.values()))),
         Check("triple-nine orbit count under Aut", 1, len(set(tn_orbits.values()))),
-        Check("double-six stabilizer order (orbit-stabilizer)", 1440, 51840 // 36),
+        Check("double-six stabilizer order (orbit-stabilizer)", 1440,
+              w.order // list(ds_orbits.values()).count(ds_orbits[ds[0]])),
     ]
 
 

@@ -160,6 +160,23 @@ def test_cli_surface_report_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SURFACE_REPORT_SHA256
 
 
+def test_cli_surface_reports_a_bad_place_and_uses_it_for_no_certificate(tmp_path):
+    # u times a smooth constant cubic over GF(2): the form vanishes at the
+    # place u and is a scaled copy of that cubic at the four other places
+    smooth = [1, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1]
+    src = tmp_path / "bad_place.txt"
+    src.write_text("2 1 : " + ",".join("u" if c else "0" for c in smooth) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["surface", str(src), "--json", str(out)]) == 0
+    surface = json.loads(out.read_text())["surfaces"][0]
+    assert surface["places"][0] == {
+        "place": "0,1", "status": "bad_place", "detail": "all coefficients vanish at place 0,1"}
+    assert [p["status"] for p in surface["places"][1:]] == ["smooth_certified"] * 4
+    witnesses = [*surface["h1_certificate"]["witnesses"].values(),
+                 *surface["subgroup_exclusion"]["witnesses"].values()]
+    assert witnesses and "0,1" not in witnesses
+
+
 def test_cli_surface_line_budget_is_q_to_the_fourth(tmp_path):
     # a line scan over GF(7) costs 7^4 = 2401 row pairs
     src = tmp_path / "fermat7.txt"
@@ -231,6 +248,13 @@ def test_cli_density_tiny(tmp_path):
     assert report["config"]["seed"] == "cli-test"
     assert len(report["rows"]) == 1
     assert csv.read_text().startswith("degree_bound,")
+
+
+def test_cli_density_has_no_early_stop_switch(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["density", "-N", "1", "--no-early-stop"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-early-stop" in capsys.readouterr().err
 
 
 def test_cli_density_rejects_nonprime_q(capsys):

@@ -2,13 +2,24 @@ import json
 
 import pytest
 
-from delpezzo.certify import build_class_table
+from delpezzo import experiment
+from delpezzo.certify import (
+    H1_TRIVIAL,
+    NO_STABLE_DOUBLE_SIX,
+    NO_STABLE_TRIPLE_NINE,
+    NOT_IN_LISTED_SUBGROUPS,
+    PlaceEvidence,
+    build_class_table,
+    h1_certificate,
+    subgroup_exclusion_certificate,
+)
 from delpezzo.experiment import (
     BadPlaceError,
     CounterRng,
     ExperimentConfig,
     FunctionFieldCubic,
     analyze_sample,
+    place_evidence,
     places_up_to,
     report_to_csv,
     report_to_json,
@@ -209,3 +220,49 @@ def test_sample_with_too_few_usable_places_is_skipped(max_places):
         q=2, max_places=max_places, min_usable_places=max_places, point_budget=5000, line_budget=10**6
     )
     assert not analyze_sample(form, places, lenient, table).skipped
+
+
+def test_early_stop_never_changes_a_tally(monkeypatch):
+    # the density rows against a loop that uses every usable place of every
+    # sample; analyze_sample stops early on some samples, and never
+    # specializes a place after its stop
+    # eight places (degree <= 4), so a sample can stop with places left over
+    config = ExperimentConfig(q=2, degree_bounds=(1, 2), samples_per_degree=4, seed="early-stop",
+                              max_place_degree=4)
+    table = build_class_table()
+    places = places_up_to(F2, config.max_place_degree, config.max_places)
+    h1_keys = {H1_TRIVIAL: "h1_trivial", NO_STABLE_DOUBLE_SIX: "no_stable_double_six",
+               NO_STABLE_TRIPLE_NINE: "no_stable_triple_nine"}
+    specialized = []
+    monkeypatch.setattr(experiment, "specialize", lambda f, p: specialized.append(p.format()) or specialize(f, p))
+    stopped = 0
+    for row in run_density(config)["rows"]:
+        expect = dict.fromkeys(["skipped", "h1_trivial", "no_stable_double_six", "no_stable_triple_nine",
+                                "h1_inconclusive", "not_in_listed_subgroups", "exclusion_inconclusive"], 0)
+        for index in range(config.samples_per_degree):
+            rng = CounterRng(f"{config.seed}/q2/D{row['degree_bound']}/n{index}")
+            form = sample_form(F2, row["degree_bound"], rng)
+            evidence = tuple(PlaceEvidence(label, ev.class_ids)
+                             for label, _, _, ev in place_evidence(
+                                 form, places, table, config.point_budget, config.line_budget)
+                             if ev is not None)
+            if len(evidence) < config.min_usable_places:
+                expect["skipped"] += 1
+                continue
+            expect[h1_keys.get(h1_certificate(evidence, table).kind, "h1_inconclusive")] += 1
+            exclusion = subgroup_exclusion_certificate(evidence, table).kind
+            expect["not_in_listed_subgroups" if exclusion == NOT_IN_LISTED_SUBGROUPS
+                   else "exclusion_inconclusive"] += 1
+
+            specialized.clear()
+            outcome = analyze_sample(form, places, config, table)
+            usable = [e.place for e in evidence]
+            assert outcome.used_places == usable[: len(outcome.used_places)]
+            if len(outcome.used_places) < len(usable):
+                stopped += 1
+                assert len(outcome.used_places) >= config.min_usable_places
+                assert outcome.h1.kind == H1_TRIVIAL
+                assert outcome.exclusion.kind == NOT_IN_LISTED_SUBGROUPS
+                assert specialized[-1] == outcome.used_places[-1]
+        assert {k: row[k] for k in expect} == expect
+    assert stopped > 0
