@@ -237,12 +237,6 @@ class ClassTable:
     char_polys_separate_classes: bool
     content_hash: str
 
-    def all_cycle_types(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(r.cycle_type for r in self.rows)
-
-    def element_orders(self) -> frozenset[int]:
-        return frozenset(r.element_order for r in self.rows)
-
 
 SUBGROUP_NAMES = (
     "LineStab",

@@ -8,8 +8,9 @@ coefficients in graded-lex monomial order (x > y > z > w).  Each coefficient
 is either an integer (the counter encoding of a field element) or a
 polynomial in u over the prime field, like ``u^2+u+1`` or ``2u^3+1``
 (nonnegative integer coefficients, ``+`` separated); any u-polynomial makes
-the whole line a surface over F_q[u].  Standalone polynomial flags (places)
-use the comma-separated coefficient format, constant term first.
+the whole line a surface over F_p[u], and then k must be 1.  Reports label
+each place of such a surface by its coefficients, comma separated and
+constant term first: over F_2, ``1,1,1`` is u^2+u+1.
 """
 
 from __future__ import annotations
@@ -81,8 +82,6 @@ def parse_surface_line(line: str):
     if len(tokens) != 20:
         raise ValueError(f"expected 20 coefficients, got {len(tokens)}")
     if any("u" in t for t in tokens):
-        if k != 1:
-            raise ValueError("function-field surfaces use a prime base field")
         polys = tuple(parse_u_polynomial(t, fs) for t in tokens)
         return "function-field", FunctionFieldCubic(fs, polys)
     return "finite-field", CubicForm.from_ints(fs, [int(t) for t in tokens])
@@ -309,6 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if min(getattr(args, "budget_points", 0), getattr(args, "budget_lines", 0)) < 0:
+        print(f"{args.command}: --budget-points and --budget-lines must be >= 0", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (BudgetExceeded, FieldSizeError, OSError) as exc:

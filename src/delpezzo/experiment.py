@@ -33,7 +33,7 @@ from .certify import (
     h1_certificate,
     subgroup_exclusion_certificate,
 )
-from .gf import Element, FieldSpec, UniPoly, embed, field, is_prime, monic_irreducibles
+from .gf import Element, FieldSpec, UniPoly, _least_root, field, is_prime, monic_irreducibles
 from .surface import SMOOTH_CERTIFIED, CubicForm, frobenius_class, smoothness_certificate
 
 
@@ -70,12 +70,15 @@ class CounterRng:
 
 @dataclass(frozen=True)
 class FunctionFieldCubic:
-    """A cubic form whose 20 coefficients are polynomials in u over F_q."""
+    """A cubic form whose 20 coefficients are polynomials in u over the prime
+    field F_q."""
 
     base: FieldSpec
     coeffs: tuple[UniPoly, ...]
 
     def __post_init__(self):
+        if self.base.k != 1:
+            raise ValueError("function-field surfaces use a prime base field")
         if len(self.coeffs) != 20:
             raise ValueError("a quaternary cubic has exactly 20 coefficients")
         if all(c.is_zero() for c in self.coeffs):
@@ -93,21 +96,16 @@ class BadPlaceError(RuntimeError):
 def _place_root(place_coeffs: tuple, base: FieldSpec) -> tuple[FieldSpec, Element]:
     """The deterministic (least) root of a monic irreducible in the extension
     of its degree, together with that field."""
-    place = UniPoly(base, place_coeffs)
-    target = field(base.p, base.k * place.degree)
-    lift = embed(base, target)
-    for x in target.elements():
-        if place.evaluate(x, into=lift) == 0:
-            return target, x
-    raise RuntimeError("unreachable: a degree-s irreducible has a root in GF(q^s)")
+    target = field(base.p, len(place_coeffs) - 1)
+    return target, _least_root(place_coeffs, target)
 
 
 def specialize(form: FunctionFieldCubic, place: UniPoly) -> CubicForm:
     """Evaluate every coefficient at the canonical root of the place; the
     result lives over GF(q^deg place)."""
     target, root = _place_root(place.coeffs, form.base)
-    lift = embed(form.base, target)
-    coeffs = tuple(c.evaluate(root, into=lift) for c in form.coeffs)
+    # prime-field coefficients are encoded alike in the target
+    coeffs = tuple(UniPoly(target, c.coeffs).evaluate(root) for c in form.coeffs)
     if not any(coeffs):
         raise BadPlaceError(f"all coefficients vanish at place {place.format()}")
     return CubicForm(target, coeffs)
@@ -153,6 +151,8 @@ class ExperimentConfig:
             raise ValueError("min_usable_places must be >= 1")
         if self.point_budget < self.q**3:
             raise ValueError("point budget too small to count over the base field")
+        if self.line_budget < 0:
+            raise ValueError("line budget must be >= 0")
 
     def to_json(self) -> dict:
         return {

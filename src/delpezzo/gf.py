@@ -10,8 +10,16 @@ which fixes a deterministic total order on each field.
 Sums are digit-wise (XOR in characteristic 2).  Products, powers and inverses
 read the field's log/exp tables (`FieldSpec.tables`, built on first use from
 the least primitive element, up to order TABLE_FIELD_CAP); the same tables
-serve the vectorized kernels of `surface`.  Digit-polynomial arithmetic
-(`_pmul`, `_pmod`) is left to the modulus search and the table build.
+serve the vectorized kernels of `surface`.
+
+Polynomial arithmetic is one layer over the prime field, on digit lists with
+the constant term first (`_pmul`, `_pmod`, `_pgcd`, `_ppowmod`).  One
+irreducibility test (`_prime_poly_irreducible`, in counter order) gives both
+the moduli of `field` and the places of F_p(u) (`monic_irreducibles`), and
+one least-root search (`_least_root`, Horner's rule on every element of the
+destination at once) gives both the root that fixes an embedding and the
+root at which a place specializes a form.  `UniPoly` only holds and
+evaluates a place or a coefficient.
 
 Cross-field comparisons always go through explicit embeddings (the least root
 of the source modulus in the destination), never through modulus choices.
@@ -21,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -115,8 +123,8 @@ def _prime_poly_irreducible(coeffs: list[int], p: int) -> bool:
     i <= deg(f)/2 (x^(p^i)-x is the product of the irreducibles of degree
     dividing i, and two cofactors of degree > deg/2 cannot coexist)."""
     k = len(coeffs) - 1
-    if k == 1:
-        return True
+    if k < 1:
+        return False
     xq = [0, 1]
     for _ in range(k // 2):
         xq = _ppowmod(xq, p, coeffs, p)
@@ -127,6 +135,27 @@ def _prime_poly_irreducible(coeffs: list[int], p: int) -> bool:
         if len(_pgcd(coeffs, _trim(diff), p)) != 1:
             return False
     return True
+
+
+def _irreducible_digits(p: int, degree: int) -> Iterator[list[int]]:
+    """The monic irreducibles of the given degree over F_p, as digit lists in
+    counter order."""
+    for counter in range(p**degree):
+        coeffs = _digits(counter, p, degree) + [1]  # monic
+        if _prime_poly_irreducible(coeffs, p):
+            yield coeffs
+
+
+def _least_root(coeffs, dst: FieldSpec) -> Element:
+    """The least element of dst at which the polynomial with prime-field
+    digits `coeffs` (constant term first, encoded alike in dst) vanishes:
+    Horner's rule on every element of dst at once."""
+    tab = dst.tables
+    x = np.arange(dst.order, dtype=np.int64)
+    acc = np.zeros_like(x)
+    for c in reversed(coeffs):
+        acc = tab.add(tab.mul(acc, x), c)
+    return int(np.flatnonzero(acc == 0)[0])
 
 
 class _Tables:
@@ -274,19 +303,15 @@ class FieldSpec:
 
 
 @lru_cache(maxsize=None)
-def field(p: int, k: int = 1, size_cap: int = DEFAULT_FIELD_SIZE_CAP) -> FieldSpec:
+def field(p: int, k: int = 1) -> FieldSpec:
     """GF(p^k) with the deterministic least monic modulus of degree k."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime; build extensions as field(p, k)")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**k > size_cap:
-        raise FieldSizeError(f"field of order {p}^{k} exceeds the cap {size_cap}")
-    for counter in range(p**k):
-        coeffs = _digits(counter, p, k) + [1]  # monic
-        if _prime_poly_irreducible(coeffs, p):
-            return FieldSpec(p, k, tuple(coeffs))
-    raise RuntimeError("unreachable: an irreducible of every degree exists")
+    if p**k > DEFAULT_FIELD_SIZE_CAP:
+        raise FieldSizeError(f"field of order {p}^{k} exceeds the cap {DEFAULT_FIELD_SIZE_CAP}")
+    return FieldSpec(p, k, tuple(next(_irreducible_digits(p, k))))
 
 
 @dataclass(frozen=True)
@@ -309,15 +334,11 @@ def embed(src: FieldSpec, dst: FieldSpec) -> Embedding:
         raise ValueError("embeddings require equal characteristic")
     if dst.k % src.k != 0:
         raise ValueError(f"no embedding: {src.k} does not divide {dst.k}")
-    # the modulus digits are prime-field elements, encoded alike in dst
-    modulus = UniPoly(dst, src.modulus)
-    for x in dst.elements():
-        if modulus.evaluate(x) == 0:
-            return Embedding(src, dst, x)
-    raise RuntimeError("unreachable: the modulus splits in any field of divisible degree")
+    # the modulus splits in any field of divisible degree
+    return Embedding(src, dst, _least_root(src.modulus, dst))
 
 
-# -- univariate polynomials over an arbitrary FieldSpec ----------------------
+# -- univariate polynomials: places and coefficients over F_p(u) ------------
 
 
 @dataclass(frozen=True)
@@ -339,12 +360,6 @@ class UniPoly:
     def from_ints(fs: FieldSpec, encodings: list[int]) -> "UniPoly":
         return UniPoly.make(fs, [fs.from_int(n) for n in encodings])
 
-    @staticmethod
-    def parse(fs: FieldSpec, text: str) -> "UniPoly":
-        """Comma-separated coefficient encodings, constant term first."""
-        parts = [t.strip() for t in text.split(",")]
-        return UniPoly.from_ints(fs, [int(t) for t in parts if t])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -352,104 +367,23 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def format(self) -> str:
         return ",".join(str(c) for c in self.coeffs)
 
-    def evaluate(self, x: Element, into: Embedding | None = None) -> Element:
-        """Horner evaluation at x; x lives in `into.dst` when a coefficient
-        embedding is supplied."""
-        fs = self.field if into is None else into.dst
-        lift: Callable[[Element], Element] = (lambda c: c) if into is None else into
+    def evaluate(self, x: Element) -> Element:
+        """Horner evaluation at x."""
+        fs = self.field
         acc = 0
         for c in reversed(self.coeffs):
-            acc = fs.add(fs.mul(acc, x), lift(c))
+            acc = fs.add(fs.mul(acc, x), c)
         return acc
 
-    def mul(self, other: "UniPoly") -> "UniPoly":
-        fs = self.field
-        if self.is_zero() or other.is_zero():
-            return UniPoly(fs, ())
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = fs.add(out[i + j], fs.mul(a, b))
-        return UniPoly.make(fs, out)
 
-    def mod(self, m: "UniPoly") -> "UniPoly":
-        fs = self.field
-        a = list(self.coeffs)
-        dm = m.degree
-        inv_lead = fs.inv(m.coeffs[-1])
-        while len(a) - 1 >= dm and a:
-            c = fs.mul(a[-1], inv_lead)
-            shift = len(a) - 1 - dm
-            for i, y in enumerate(m.coeffs):
-                a[shift + i] = fs.sub(a[shift + i], fs.mul(c, y))
-            while a and a[-1] == 0:
-                a.pop()
-        return UniPoly(fs, tuple(a))
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        fs = self.field
-        inv_lead = fs.inv(self.coeffs[-1])
-        return UniPoly(fs, tuple(fs.mul(c, inv_lead) for c in self.coeffs))
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.mod(b)
-        return a.monic()
-
-    def powmod(self, e: int, m: "UniPoly") -> "UniPoly":
-        fs = self.field
-        result = UniPoly(fs, (1,))
-        base = self.mod(m)
-        while e:
-            if e & 1:
-                result = result.mul(base).mod(m)
-            base = base.mul(base).mod(m)
-            e >>= 1
-        return result
-
-    def is_irreducible(self) -> bool:
-        """gcd test against u^(q^i) - u for i <= degree/2."""
-        fs = self.field
-        s = self.degree
-        if s <= 0:
-            return False
-        if s == 1:
-            return True
-        xq = UniPoly(fs, (0, 1))
-        for _ in range(s // 2):
-            xq = xq.powmod(fs.order, self)
-            diff = xq_minus_u(xq, fs)
-            if self.gcd(diff).degree != 0:
-                return False
-        return True
-
-
-def xq_minus_u(xq: UniPoly, fs: FieldSpec) -> UniPoly:
-    coeffs = list(xq.coeffs) + [0] * max(0, 2 - len(xq.coeffs))
-    coeffs[1] = fs.sub(coeffs[1], 1)
-    return UniPoly.make(fs, coeffs)
-
-
-def monic_irreducibles(fs: FieldSpec, degree: int, cap: int = DEFAULT_FIELD_SIZE_CAP) -> list[UniPoly]:
-    """All monic irreducibles of the given degree over fs, in counter order
-    (the finite places of that degree of the rational function field)."""
-    q = fs.order
-    if q**degree > cap:
-        raise FieldSizeError(f"enumerating q^{degree} = {q**degree} polynomials exceeds cap")
-    out = []
-    for counter in range(q**degree):
-        f = UniPoly.from_ints(fs, _digits(counter, q, degree) + [1])
-        if f.is_irreducible():
-            out.append(f)
-    return out
+def monic_irreducibles(fs: FieldSpec, degree: int) -> list[UniPoly]:
+    """All monic irreducibles of the given degree over the prime field fs, in
+    counter order (the finite places of that degree of F_p(u))."""
+    if fs.k != 1:
+        raise ValueError(f"places are taken over a prime field, not {fs!r}")
+    if fs.p**degree > DEFAULT_FIELD_SIZE_CAP:
+        raise FieldSizeError(f"{fs.p}^{degree} polynomials exceed the cap {DEFAULT_FIELD_SIZE_CAP}")
+    return [UniPoly(fs, tuple(c)) for c in _irreducible_digits(fs.p, degree)]

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from random import Random
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -101,10 +100,6 @@ def cycle_type(p: Permutation) -> CycleType:
 def fixed_points_of_power(ct: CycleType, m: int) -> int:
     """Number of fixed points of g^m given the cycle type of g."""
     return sum(c for c in ct if m % c == 0)
-
-
-def order_of(p: Permutation) -> int:
-    return math.lcm(*cycle_type(p))
 
 
 class _Level:
@@ -261,20 +256,6 @@ class PermutationGroup:
                 yield from walk(i + 1, lvl.transversal[x].translate(right))
 
         return walk(0, _ID)
-
-    def cycle_type_census(self, cap: int = DEFAULT_ENUMERATION_CAP) -> frozenset[CycleType]:
-        """The exact set of cycle types occurring in the group."""
-        return frozenset(cycle_type(g) for g in self.elements(cap))
-
-    def uniform_random_element(self, rng: Random | int) -> Permutation:
-        """Uniform over the group: independent uniform transversal picks."""
-        if isinstance(rng, int):
-            rng = Random(rng)
-        g = _ID
-        for lvl in self._levels:
-            keys = sorted(lvl.transversal)
-            g = lvl.transversal[keys[rng.randrange(len(keys))]].translate(g)
-        return self._decode(g)
 
     def element_array(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
         """Every element as one row of an order x degree array, in exactly the

@@ -274,6 +274,36 @@ def test_cli_density_bad_config_is_one_line(argv, capsys):
     assert err.startswith("configuration error: ") and "\n" not in err
 
 
+def test_cli_density_rejects_a_negative_budget(capsys, monkeypatch):
+    from delpezzo import experiment
+
+    def never(*args, **kwargs):
+        raise AssertionError("the class table was built for a negative budget")
+
+    monkeypatch.setattr(experiment, "build_class_table", never)
+    for flag in ("--budget-lines", "--budget-points"):
+        assert main(["density", "-q", "2", "-N", "1", "-D", "1", flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("density: ") and captured.err.count("\n") == 1
+
+
+def test_cli_surface_rejects_a_negative_budget(tmp_path, capsys, monkeypatch):
+    from delpezzo import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the class table was built for a negative budget")
+
+    monkeypatch.setattr(cli, "build_class_table", never)
+    src = tmp_path / "fermat.txt"
+    src.write_text(f"7 1 : {FERMAT}\n")
+    for flag, value in (("--budget-lines", "-5"), ("--budget-points", "-1")):
+        assert main(["surface", str(src), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("surface: ") and captured.err.count("\n") == 1
+
+
 def test_cli_tables(tmp_path):
     out = tmp_path / "tables.json"
     assert main(["tables", "--json", str(out)]) == 0

@@ -60,7 +60,8 @@ def test_places_over_f2():
     labels = [p.format() for p in places_up_to(F2, 3)]
     assert labels == ["0,1", "1,1", "1,1,1", "1,1,0,1", "1,0,1,1"]
     for p in places_up_to(F2, 3):
-        assert p.is_monic() and p.is_irreducible()
+        # monic, and of degree <= 3 without a root in F_2
+        assert p.coeffs[-1] == 1 and all(p.evaluate(x) != 0 for x in F2.elements() if p.degree > 1)
 
 
 def _constant_cubic(encodings):
@@ -98,15 +99,14 @@ def test_conjugate_root_gives_same_frobenius_class():
     place = places_up_to(F2, 2)[2]  # u^2+u+1
     assert place.degree == 2
     f4 = field(2, 2)
-    from delpezzo.gf import embed
     from delpezzo.surface import CubicForm
 
-    lift = embed(F2, f4)
-    roots = [x for x in f4.elements() if f4.is_zero(place.evaluate(x, into=lift))]
+    # F_2 digits encode alike in GF(4)
+    roots = [x for x in f4.elements() if f4.is_zero(UniPoly(f4, place.coeffs).evaluate(x))]
     assert len(roots) == 2
     evidences = []
     for root in roots:
-        coeffs = tuple(c.evaluate(root, into=lift) for c in form.coeffs)
+        coeffs = tuple(UniPoly(f4, c.coeffs).evaluate(root) for c in form.coeffs)
         if all(f4.is_zero(c) for c in coeffs):
             pytest.skip("degenerate sample")
         surf = CubicForm(f4, coeffs)
@@ -118,12 +118,12 @@ def test_conjugate_root_gives_same_frobenius_class():
 
 
 def test_place_enumeration_stops_at_the_limit(monkeypatch):
-    from delpezzo.gf import UniPoly
+    from delpezzo import gf
 
     first8 = places_up_to(F2, 4)  # 2 + 1 + 2 + 3 places
     tested = []
-    is_irreducible = UniPoly.is_irreducible
-    monkeypatch.setattr(UniPoly, "is_irreducible", lambda f: tested.append(f) or is_irreducible(f))
+    is_irreducible = gf._prime_poly_irreducible
+    monkeypatch.setattr(gf, "_prime_poly_irreducible", lambda f, p: tested.append(f) or is_irreducible(f, p))
     assert places_up_to(F2, 15, limit=8) == first8
     # every monic of degree <= 4 and none above: x^4+x^3+x^2+x+1 is the last
     assert len(tested) == 2 + 4 + 8 + 16
@@ -186,6 +186,8 @@ def test_invalid_configs_rejected():
         ExperimentConfig(q=2, degree_bounds=(1, -1)).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(q=2, min_usable_places=0).validate()
+    with pytest.raises(ValueError):
+        ExperimentConfig(q=2, line_budget=-1).validate()
 
 
 def test_csv_round_trip():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from delpezzo.experiment import FunctionFieldCubic, _place_root, places_up_to
 from delpezzo.gf import (
     FieldSizeError,
     UniPoly,
@@ -57,6 +58,87 @@ def ref_embed(src, dst, e):
     return ref_encode(dst, horner(ref_decode(src, e), root))
 
 
+# -- a reference ring: polynomials over a field as coefficient tuples, with
+#    the field's scalar operations, and the gcd irreducibility test on them ----
+
+
+def ref_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def ref_pmul(fs, a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = fs.add(out[i + j], fs.mul(x, y))
+    return ref_trim(out)
+
+
+def ref_pmod(fs, a, m):
+    a = list(a)
+    inv_lead = fs.inv(m[-1])
+    while len(a) >= len(m):
+        c = fs.mul(a[-1], inv_lead)
+        shift = len(a) - len(m)
+        for i, y in enumerate(m):
+            a[shift + i] = fs.sub(a[shift + i], fs.mul(c, y))
+        a = list(ref_trim(a))
+    return tuple(a)
+
+
+def ref_gcd(fs, a, b):
+    while b:
+        a, b = b, ref_pmod(fs, a, b)
+    inv_lead = fs.inv(a[-1])
+    return tuple(fs.mul(c, inv_lead) for c in a)
+
+
+def ref_powmod(fs, base, e, m):
+    result, base = (1,), ref_pmod(fs, base, m)
+    while e:
+        if e & 1:
+            result = ref_pmod(fs, ref_pmul(fs, result, base), m)
+        base = ref_pmod(fs, ref_pmul(fs, base, base), m)
+        e >>= 1
+    return result
+
+
+def ref_is_irreducible(fs, f):
+    """gcd(f, u^(q^i) - u) = 1 for every i <= deg f / 2."""
+    if len(f) < 2:
+        return False
+    xq = (0, 1)
+    for _ in range((len(f) - 1) // 2):
+        xq = ref_powmod(fs, xq, fs.order, f)
+        diff = list(xq) + [0] * max(0, 2 - len(xq))
+        diff[1] = fs.sub(diff[1], 1)
+        if len(ref_gcd(fs, f, ref_trim(diff))) != 1:
+            return False
+    return True
+
+
+def ref_monic_irreducibles(fs, degree):
+    monics = (tuple(n // fs.p**i % fs.p for i in range(degree)) + (1,) for n in range(fs.p**degree))
+    return [f for f in monics if ref_is_irreducible(fs, f)]
+
+
+def ref_least_root(coeffs, dst):
+    """The least element of dst where the prime-field polynomial vanishes,
+    one scalar Horner evaluation at a time."""
+    def value(x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = dst.add(dst.mul(acc, x), c)
+        return acc
+
+    return next(x for x in dst.elements() if value(x) == 0)
+
+
 def test_vectorized_arithmetic_matches_field():
     """Scalar and vectorized table arithmetic against the tuple reference, on
     every pair of elements."""
@@ -91,7 +173,7 @@ def test_embedding_matches_tuple_reference(p, a, b):
 
 
 def test_elements_are_python_ints():
-    from delpezzo.experiment import FunctionFieldCubic, places_up_to, specialize
+    from delpezzo.experiment import specialize
     from delpezzo.surface import CubicForm
 
     for fs in (field(2, 3), field(3, 2)):
@@ -102,8 +184,7 @@ def test_elements_are_python_ints():
         big = field(fs.p, 2 * fs.k)
         assert all(type(embed(fs, big)(e)) is int for e in range(fs.order))
         f = UniPoly.from_ints(fs, [1, 2, 3])
-        g = UniPoly.from_ints(fs, [4, 1])
-        for poly in (f.mul(g), f.mul(g).mod(f), f.monic(), f.gcd(g)):
+        for poly in monic_irreducibles(field(fs.p), 3):
             assert all(type(c) is int for c in poly.coeffs)
         assert type(f.evaluate(6)) is int
         form = CubicForm.fermat(fs)
@@ -237,7 +318,7 @@ def test_monic_irreducibles_over_f2():
     assert len(monic_irreducibles(f2, 3)) == 2  # (2^3 - 2) / 3
 
 
-@pytest.mark.parametrize("p,k,m", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2)])
+@pytest.mark.parametrize("p,k,m", [(2, 1, 4), (3, 1, 3), (2, 1, 6), (5, 1, 2)])
 def test_field_splitting_identity(p, k, m):
     fs = field(p, k)
     q = fs.order
@@ -248,26 +329,65 @@ def test_field_splitting_identity(p, k, m):
 
 
 def test_irreducibles_cap():
+    # the cap is 2^20 monics
     with pytest.raises(FieldSizeError):
-        monic_irreducibles(field(2), 4, cap=10)
+        monic_irreducibles(field(2), 21)
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 8), (3, 6), (5, 4), (7, 3)])
+def test_irreducibles_and_moduli_match_the_reference_gcd_test(p, max_degree):
+    fs = field(p)
+    for s in range(1, max_degree + 1):
+        expected = ref_monic_irreducibles(fs, s)
+        assert [f.coeffs for f in monic_irreducibles(fs, s)] == expected
+        assert field(p, s).modulus == expected[0]
+
+
+def test_places_need_a_prime_base_field():
+    f4 = field(2, 2)
+    with pytest.raises(ValueError):
+        monic_irreducibles(f4, 1)
+    with pytest.raises(ValueError):
+        FunctionFieldCubic(f4, (UniPoly.from_ints(f4, [1]),) * 20)
+
+
+def test_embedding_root_is_the_least_root_of_the_source_modulus():
+    for p in filter(is_prime, range(2, 1025)):
+        for b in range(1, 11):
+            if p**b > 1024:
+                break
+            dst = field(p, b)
+            for src in (field(p, a) for a in range(1, b + 1) if b % a == 0):
+                assert embed(src, dst).root == ref_least_root(src.modulus, dst), (src, dst)
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 8), (3, 5), (5, 3)])
+def test_place_root_is_the_least_root_of_the_place(p, max_degree):
+    base = field(p)
+    for place in places_up_to(base, max_degree):
+        target, root = _place_root(place.coeffs, base)
+        assert target == field(p, place.degree)
+        assert root == ref_least_root(place.coeffs, target), place.format()
 
 
 def test_unipoly_parse_format_roundtrip_and_eval():
     f3 = field(3)
-    poly = UniPoly.parse(f3, "1,2,0,1")  # 1 + 2u + u^3
+    poly = UniPoly.from_ints(f3, [1, 2, 0, 1])  # 1 + 2u + u^3
     assert poly.degree == 3
     assert poly.format() == "1,2,0,1"
+    assert UniPoly.from_ints(f3, [int(t) for t in poly.format().split(",")]) == poly
     # evaluate at u = 2: 1 + 4 + 8 = 13 = 1 mod 3
     assert poly.evaluate(f3.from_int(2)) == f3.from_int(1)
 
 
 def test_unipoly_gcd_and_irreducibility():
     f2 = field(2)
-    u2u1 = UniPoly.from_ints(f2, [1, 1, 1])
-    assert u2u1.is_irreducible()
-    square = u2u1.mul(u2u1)
-    assert not square.is_irreducible()
-    assert square.gcd(u2u1).coeffs == u2u1.coeffs
+    u2u1 = (1, 1, 1)
+    assert UniPoly(f2, u2u1) in monic_irreducibles(f2, 2)
+    square = ref_pmul(f2, u2u1, u2u1)
+    assert UniPoly(f2, square) not in monic_irreducibles(f2, 4)
+    assert ref_gcd(f2, square, u2u1) == u2u1
+    assert ref_is_irreducible(f2, u2u1) and not ref_is_irreducible(f2, square)
 
 
 def test_is_prime():
