@@ -5,7 +5,10 @@ shipped as opaque constants: the 25-class table of the 27-line symmetry group
 (cycle types, element orders, characteristic polynomials and traces on the
 rank-6 orthogonal complement of the canonical class, fixed-line counts, class
 sizes), the cycle-type sets of the classical stabilizer subgroups, and the
-certificates built on them.
+certificates built on them.  The families whose stabilizers these are (lines,
+double sixes, tritangent triangles, triple nines) come from `incidence`, the
+double sixes and nines from the E6 roots; a member is a set of line sets, and
+a permutation fixes it when `incidence.image` maps it to itself.
 
 Soundness of the exclusion logic: if the Galois image stabilizes some double
 six, every Frobenius element fixes that double six, so its class is one whose
@@ -30,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .incidence import double_sixes, incidence_graph, triple_nines, tritangent_triangles, weyl_image
+from .incidence import double_sixes, image, incidence_graph, triple_nines, tritangent_triangles, weyl_image
 from .lattice import DegreeContext, exceptional_classes
 from .permgroup import Permutation, cycle_type, fixed_points_of_power
 
@@ -248,12 +251,6 @@ SUBGROUP_NAMES = (
 )
 
 
-def _stabilizes(g: Permutation, blocks) -> bool:
-    """Whether the line permutation g maps each line set in `blocks` onto a
-    member of `blocks` (a single set onto itself)."""
-    return all(frozenset(g[x] for x in b) in blocks for b in blocks)
-
-
 @lru_cache(maxsize=None)
 def build_class_table() -> ClassTable:
     """Derive the full 25-row class table and the stabilizer cycle-type sets
@@ -303,19 +300,21 @@ def build_class_table() -> ClassTable:
     # Each subgroup stabilizes one member of a family the group permutes.  A
     # class meets a conjugate of it exactly when its representative fixes some
     # member of that member's orbit, and |Stab| = sum |C| fix(C) / |family|.
-    nines = [t.as_sets for t in triple_nines(graph)]
+    nines = [t.blocks for t in triple_nines(graph)]
     setwise = {
-        "LineStab": [(frozenset({x}),) for x in range(27)],
-        "DoubleSixStab": [(d.line_set,) for d in double_sixes(graph)],
-        "TritangentStab": [(frozenset(t),) for t in tritangent_triangles(graph)],
+        "LineStab": [frozenset({frozenset({x})}) for x in range(27)],
+        "DoubleSixStab": [d.blocks for d in double_sixes(graph)],
+        "TritangentStab": [frozenset({frozenset(t)}) for t in tritangent_triangles(graph)],
         "TripleNineSetStab": nines,
     }
-    fixed = {name: (len(family), [sum(_stabilizes(g, x) for x in family) for g in reps])
+    fixed = {name: (len(family), [sum(image(g, b) == b for b in family) for g in reps])
              for name, family in setwise.items()}
     for name, (_, fix) in fixed.items():
         assert sizes @ fix == 51840, f"{name}: the group has more than one orbit (Burnside)"
+    # componentwise: each of a triple nine's three nines is fixed
+    parts = [[frozenset({p}) for p in b] for b in nines]
     fixed["TripleNineComponentwiseStab"] = (
-        len(nines), [sum(all(_stabilizes(g, (p,)) for p in parts) for parts in nines) for g in reps])
+        len(nines), [sum(all(image(g, p) == p for p in ps) for ps in parts) for g in reps])
     fixed["EvenSubgroup"] = (1, [int(det == 1) for det in determinants])  # the orientation
     subgroups = {}
     for name in SUBGROUP_NAMES:
@@ -463,15 +462,15 @@ def oracle_cross_validation(table: ClassTable | None = None) -> list[dict]:
     stable triple nine for a 3-part) actually occur."""
     table = table or build_class_table()
     graph = incidence_graph(DegreeContext(3))
-    ds_sets = [d.line_set for d in double_sixes(graph)]
-    tn_parts = [t.as_sets for t in triple_nines(graph)]
+    ds_blocks = [d.blocks for d in double_sixes(graph)]
+    tn_parts = [[frozenset({p}) for p in t.blocks] for t in triple_nines(graph)]
     out = []
     for row in table.rows:
         invs = h1_cyclic_oracle(row.representative)
         h1_order = math.prod(invs) if invs else 1
         g = row.representative
-        stabilizes_ds = any(_stabilizes(g, (s,)) for s in ds_sets)
-        stabilizes_tn = any(all(_stabilizes(g, (p,)) for p in parts) for parts in tn_parts)
+        stabilizes_ds = any(image(g, b) == b for b in ds_blocks)
+        stabilizes_tn = any(all(image(g, p) == p for p in ps) for ps in tn_parts)
         out.append(
             {
                 "class_id": row.class_id,

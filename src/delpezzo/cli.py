@@ -143,8 +143,7 @@ def _surface_report(form: CubicForm, verdict, ev, table, args) -> dict:
         "table_hash": table.content_hash,
     }
     try:
-        ts = trace_sequence(form, 6, budget=args.budget_points)
-        report["traces"] = list(ts.values)
+        report["traces"] = list(trace_sequence(form, 6, budget=args.budget_points))
     except NotSmoothOrBadReduction as exc:
         report["traces"] = None
         report["trace_error"] = str(exc)
@@ -216,8 +215,9 @@ def cmd_surface(args) -> int:
     return 0
 
 
-def cmd_density(args) -> int:
-    config = ExperimentConfig(
+def _density_config(args) -> ExperimentConfig:
+    """The experiment configuration of parsed `density` arguments."""
+    return ExperimentConfig(
         q=args.q,
         degree_bounds=tuple(args.degrees),
         samples_per_degree=args.samples,
@@ -228,6 +228,10 @@ def cmd_density(args) -> int:
         line_budget=args.budget_lines,
         seed=args.seed,
     )
+
+
+def cmd_density(args) -> int:
+    config = _density_config(args)
     try:
         config.validate()
     except ValueError as exc:
@@ -254,11 +258,15 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _add_budget_flags(sub, points_default: int, lines_default: int) -> None:
-    sub.add_argument("--budget-points", type=int, default=points_default,
+#: the defaults of the `surface` and `density` flags
+DEFAULTS = ExperimentConfig()
+
+
+def _add_budget_flags(sub) -> None:
+    sub.add_argument("--budget-points", type=int, default=DEFAULTS.point_budget,
                      help="max nominal point evaluations q^(3m) per point count "
                           "(traces and Frobenius evidence; smoothness needs no budget)")
-    sub.add_argument("--budget-lines", type=int, default=lines_default,
+    sub.add_argument("--budget-lines", type=int, default=DEFAULTS.line_budget,
                      help="max nominal line patterns q^(4m) per enumeration")
 
 
@@ -279,23 +287,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_surface = sub.add_parser("surface", help="analyze surfaces from a file")
     p_surface.add_argument("input", help="surface file (p k : c1,...,c20 per line)")
-    p_surface.add_argument("--max-place-degree", type=int, default=3)
-    _add_budget_flags(p_surface, 300_000, 10**11)
+    p_surface.add_argument("--max-place-degree", type=int, default=DEFAULTS.max_place_degree)
+    _add_budget_flags(p_surface)
     p_surface.add_argument("--json", help="write the JSON report here")
     p_surface.set_defaults(func=cmd_surface)
 
     p_density = sub.add_parser("density", help="run the function-field density experiment")
-    p_density.add_argument("-q", type=int, default=2, help="base field size (prime)")
-    p_density.add_argument("-D", "--degrees", type=int, nargs="+", default=[1, 2, 3],
+    p_density.add_argument("-q", type=int, default=DEFAULTS.q, help="base field size (prime)")
+    p_density.add_argument("-D", "--degrees", type=int, nargs="+", default=list(DEFAULTS.degree_bounds),
                            help="coefficient degree bounds")
-    p_density.add_argument("-N", "--samples", type=int, default=200,
+    p_density.add_argument("-N", "--samples", type=int, default=DEFAULTS.samples_per_degree,
                            help="samples per degree bound")
-    p_density.add_argument("--max-place-degree", type=int, default=3)
-    p_density.add_argument("--max-places", type=int, default=8)
-    p_density.add_argument("--min-usable-places", type=int, default=3,
+    p_density.add_argument("--max-place-degree", type=int, default=DEFAULTS.max_place_degree)
+    p_density.add_argument("--max-places", type=int, default=DEFAULTS.max_places)
+    p_density.add_argument("--min-usable-places", type=int, default=DEFAULTS.min_usable_places,
                            help="samples with fewer usable places count as skipped")
-    _add_budget_flags(p_density, 300_000, 10**11)
-    p_density.add_argument("--seed", default="0")
+    _add_budget_flags(p_density)
+    p_density.add_argument("--seed", default=DEFAULTS.seed)
     p_density.add_argument("--json", help="write the JSON report here")
     p_density.add_argument("--csv", help="write the per-degree CSV here")
     p_density.set_defaults(func=cmd_density)

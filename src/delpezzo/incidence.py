@@ -10,14 +10,18 @@ coset candidates already in the orbit of the generators found so far skipped
 reflections on the same vertex list.
 
 For degree 3 the classical substructures of the 27 lines are enumerated here:
-tritangent triangles (class sum = -K), double sixes and triple nines.
+tritangent triangles (class sum = -K), double sixes and triple nines.  Double
+sixes and trihedral nines come from the 72 roots by one integer product of
+line and root vectors: each pair of opposite roots gives a double six, and each
+A2 subsystem the nine lines orthogonal to it.  A family member is a set of line
+sets (`DoubleSix.blocks`, `TripleNine.blocks`), and `image` moves it by a line
+permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -26,6 +30,7 @@ from .lattice import (
     LatticeVector,
     exceptional_classes,
     reflect,
+    roots,
     simple_roots,
 )
 from .permgroup import Permutation, PermutationGroup
@@ -50,12 +55,18 @@ class IncidenceGraph:
         return int(self.labels[i, j])
 
 
+def _pairings(vs: tuple[LatticeVector, ...], ws: tuple[LatticeVector, ...]) -> np.ndarray:
+    """The intersection pairing v0*w0 - sum_{i>=1} vi*wi of every v in vs with
+    every w in ws, as one integer product."""
+    v = np.array(vs, dtype=np.int64)
+    w = np.array(ws, dtype=np.int64)
+    return np.outer(v[:, 0], w[:, 0]) - v[:, 1:] @ w[:, 1:].T
+
+
 @lru_cache(maxsize=None)
 def incidence_graph(ctx: DegreeContext) -> IncidenceGraph:
     cls = exceptional_classes(ctx)
-    c = np.array(cls, dtype=np.int64)
-    # the intersection pairing v0*w0 - sum_{i>=1} vi*wi of every pair at once
-    labels = np.outer(c[:, 0], c[:, 0]) - c[:, 1:] @ c[:, 1:].T
+    labels = _pairings(cls, cls)
     labels.setflags(write=False)
     return IncidenceGraph(ctx.degree, cls, labels)
 
@@ -269,8 +280,9 @@ class DoubleSix:
     second: tuple[int, ...]
 
     @property
-    def line_set(self) -> frozenset[int]:
-        return frozenset(self.first) | frozenset(self.second)
+    def blocks(self) -> frozenset[frozenset[int]]:
+        """The two sixes, as the set of line sets that `image` moves."""
+        return frozenset({frozenset(self.first), frozenset(self.second)})
 
 
 @dataclass(frozen=True)
@@ -280,13 +292,22 @@ class TripleNine:
     parts: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
     @property
-    def as_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(p) for p in self.parts)
+    def blocks(self) -> frozenset[frozenset[int]]:
+        """The three nines, as the set of line sets that `image` moves."""
+        return frozenset(frozenset(p) for p in self.parts)
 
 
 def _require_deg3(graph: IncidenceGraph) -> None:
     if graph.degree != 3:
         raise ValueError("Schlaefli substructures are defined on the degree-3 graph")
+
+
+def _root_pairings(graph: IncidenceGraph) -> tuple[tuple[LatticeVector, ...], np.ndarray, np.ndarray]:
+    """(roots, E.alpha for every line E and root alpha, alpha.beta for every
+    pair of roots), from one product of the stacked line and root vectors."""
+    rs = roots(DegreeContext(graph.degree))
+    products = _pairings(graph.vertices + rs, rs)
+    return rs, products[: graph.n], products[graph.n :]
 
 
 @lru_cache(maxsize=None)
@@ -311,88 +332,42 @@ def tritangent_triangles(graph: IncidenceGraph) -> tuple[tuple[int, int, int], .
     return tuple(sorted(out))
 
 
-def _disjoint_six_sets(graph: IncidenceGraph) -> list[tuple[int, ...]]:
-    """All 6-sets of pairwise-disjoint lines (label 0), by increasing indices."""
-    n = graph.n
-    disjoint = [frozenset(np.nonzero(graph.labels[i] == 0)[0].tolist()) for i in range(n)]
-    out: list[tuple[int, ...]] = []
-
-    def grow(chosen: list[int], allowed: frozenset[int]) -> None:
-        if len(chosen) == 6:
-            out.append(tuple(chosen))
-            return
-        for v in sorted(allowed):
-            rest = frozenset(x for x in allowed if x > v) & disjoint[v]
-            if len(rest) + len(chosen) + 1 >= 6:
-                chosen.append(v)
-                grow(chosen, rest)
-                chosen.pop()
-
-    grow([], frozenset(range(n)))
-    return out
-
-
 @lru_cache(maxsize=None)
 def double_sixes(graph: IncidenceGraph) -> tuple[DoubleSix, ...]:
-    """All double sixes, canonically ordered.
+    """All double sixes, one for each pair of opposite roots, sorted by first
+    row.
 
-    Each 6-set of pairwise-disjoint lines has at most one partner row; the
-    unordered pair is kept once, with the row containing the smallest line
-    first and the second row aligned by the missing-partner condition.
+    For a root alpha the first row is the lines E with E.alpha = 1, ascending,
+    and the partner of each is its reflection E + alpha: E.(E + alpha) = 0 and
+    E'.(E + alpha) = 1 for the other five E'.  The second row is the lines with
+    E.alpha = -1, so -alpha gives the same double six with the rows swapped;
+    alpha is kept when its row holds the smaller least line.
     """
     _require_deg3(graph)
-    labels = graph.labels
-    n = graph.n
-    found: dict[frozenset[int], DoubleSix] = {}
-    for six in _disjoint_six_sets(graph):
-        partner = []
-        ok = True
-        for i, a in enumerate(six):
-            matches = [
-                b
-                for b in range(n)
-                if b not in six
-                and labels[a, b] == 0
-                and all(labels[x, b] == 1 for x in six if x != a)
-            ]
-            if len(matches) != 1:
-                ok = False
-                break
-            partner.append(matches[0])
-        if not ok:
-            continue
-        if any(labels[x, y] != 0 for x, y in combinations(partner, 2)):
-            continue
-        key = frozenset(six) | frozenset(partner)
-        if key in found:
-            continue
-        if min(partner) < min(six):
-            six, partner = tuple(partner), list(six)
-        order = np.argsort(six)
-        ds = DoubleSix(
-            tuple(six[i] for i in order), tuple(partner[i] for i in order)
-        )
-        found[key] = ds
-    return tuple(sorted(found.values(), key=lambda d: d.first))
+    ctx = DegreeContext(3)
+    rs, line_root, _ = _root_pairings(graph)
+    index = {c: i for i, c in enumerate(graph.vertices)}
+    out = []
+    for alpha, col in zip(rs, line_root.T):
+        first = np.nonzero(col == 1)[0].tolist()
+        if first[0] < np.nonzero(col == -1)[0][0]:
+            second = [index[reflect(ctx, alpha, graph.vertices[e])] for e in first]
+            out.append(DoubleSix(tuple(first), tuple(second)))
+    return tuple(sorted(out, key=lambda d: d.first))
 
 
 @lru_cache(maxsize=None)
 def trihedral_nines(graph: IncidenceGraph) -> tuple[frozenset[int], ...]:
-    """All 9-line sets that admit a 3x3 grid of rows and columns of tritangent
-    triangles (the line sets of trihedral pairs)."""
+    """The line sets of the trihedral pairs: for each of the A2 subsystems of
+    the roots, the nine lines orthogonal to it, {E : E.alpha = E.beta = 0}
+    over the root pairs with alpha.beta = 1 (which span an A2)."""
     _require_deg3(graph)
-    tris = [frozenset(t) for t in tritangent_triangles(graph)]
-    tri_set = set(tris)
-    nines: set[frozenset[int]] = set()
-    for a, b in combinations(tris, 2):
-        if a & b:
-            continue
-        # three pairwise-disjoint columns, each meeting rows a and b in one
-        # line; their remaining three lines must be the third row
-        cols = [t for t in tris if len(t & a) == 1 and len(t & b) == 1]
-        for x, y, z in combinations(cols, 3):
-            if not (x & y or x & z or y & z) and (x | y | z) - a - b in tri_set:
-                nines.add(x | y | z)
+    _, line_root, root_root = _root_pairings(graph)
+    orthogonal = line_root == 0
+    nines = {
+        frozenset(np.nonzero(orthogonal[:, a] & orthogonal[:, b])[0].tolist())
+        for a, b in zip(*np.nonzero(root_root == 1))
+    }
     return tuple(sorted(nines, key=sorted))
 
 
@@ -418,17 +393,22 @@ def triple_nines(graph: IncidenceGraph) -> tuple[TripleNine, ...]:
     return tuple(sorted(out, key=lambda t: t.parts))
 
 
+def image(g: Permutation, blocks: frozenset[frozenset[int]]) -> frozenset[frozenset[int]]:
+    """A family member, given as a set of line sets, moved by the line
+    permutation g."""
+    return frozenset(frozenset(g[x] for x in b) for b in blocks)
+
+
 def orbit_of_structures(
-    group: PermutationGroup, structures: list, apply
+    group: PermutationGroup, structures: list[frozenset[frozenset[int]]]
 ) -> dict:
-    """Partition `structures` into orbits under the group generators; `apply`
-    maps (generator, structure) to the canonical image structure.  Returns a
-    mapping from structure to orbit id."""
+    """Partition family members (sets of line sets) into orbits under the group
+    generators, each moved by `image`.  Returns a mapping from member to orbit
+    id."""
     ids = {}
     next_id = 0
-    pool = list(structures)
-    known = set(pool)
-    for s in pool:
+    known = set(structures)
+    for s in structures:
         if s in ids:
             continue
         ids[s] = next_id
@@ -436,7 +416,7 @@ def orbit_of_structures(
         while queue:
             x = queue.pop()
             for g in group.generators:
-                y = apply(g, x)
+                y = image(g, x)
                 if y not in known:
                     raise ValueError("group does not preserve the structure list")
                 if y not in ids:
@@ -444,17 +424,3 @@ def orbit_of_structures(
                     queue.append(y)
         next_id += 1
     return ids
-
-
-def apply_to_double_six(g: Permutation, ds: DoubleSix) -> DoubleSix:
-    first = [g[x] for x in ds.first]
-    second = [g[x] for x in ds.second]
-    if min(second) < min(first):
-        first, second = second, first
-    order = np.argsort(first)
-    return DoubleSix(tuple(first[i] for i in order), tuple(second[i] for i in order))
-
-
-def apply_to_triple_nine(g: Permutation, tn: TripleNine) -> TripleNine:
-    parts = [tuple(sorted(g[x] for x in p)) for p in tn.parts]
-    return TripleNine(tuple(sorted(parts)))

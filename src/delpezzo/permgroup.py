@@ -45,7 +45,7 @@ _ID = bytes(range(MAX_DEGREE))
 
 
 class CapacityError(RuntimeError):
-    """Raised when full enumeration would exceed the configured cap."""
+    """Raised when full enumeration would exceed DEFAULT_ENUMERATION_CAP."""
 
 
 def identity(n: int) -> Permutation:
@@ -239,13 +239,16 @@ class PermutationGroup:
         gens = [rebased._decode(g) for lvl in rebased._levels[1:] for g in lvl.gens]
         return PermutationGroup(self.degree, gens, base_prefix=rebased.base[1:])
 
-    def elements(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Permutation]:
+    def _check_enumerable(self) -> None:
+        if self.order > DEFAULT_ENUMERATION_CAP:
+            raise CapacityError(
+                f"group order {self.order} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP}"
+            )
+
+    def elements(self) -> Iterator[Permutation]:
         """Every element exactly once, as products of transversal words along
         the base, in deterministic order."""
-        if self.order > cap:
-            raise CapacityError(
-                f"group order {self.order} exceeds enumeration cap {cap}"
-            )
+        self._check_enumerable()
 
         def walk(i: int, right: bytes) -> Iterator[Permutation]:
             if i == len(self._levels):
@@ -257,13 +260,10 @@ class PermutationGroup:
 
         return walk(0, _ID)
 
-    def element_array(self, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    def element_array(self) -> np.ndarray:
         """Every element as one row of an order x degree array, in exactly the
         order of `elements()`: one gather per level of the stabilizer chain."""
-        if self.order > cap:
-            raise CapacityError(
-                f"group order {self.order} exceeds enumeration cap {cap}"
-            )
+        self._check_enumerable()
         n = self.degree
         rows = np.arange(n, dtype=np.int16)[None, :]  # degrees here stay below 2^15
         for lvl in self._levels:
@@ -272,12 +272,10 @@ class PermutationGroup:
             rows = rows[:, reps].reshape(-1, n)
         return rows
 
-    def class_labels(
-        self, cap: int = DEFAULT_ENUMERATION_CAP
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def class_labels(self) -> tuple[np.ndarray, np.ndarray]:
         """(elements, labels): every element as a row, sorted lexicographically,
         and for each row the row index of the least member of its class."""
-        el = self.element_array(cap)
+        el = self.element_array()
         el = el[np.lexsort(el.T[::-1])]
         base = list(self.base)
         assert self.degree ** len(base) < 2**63, "base keys overflow int64"
@@ -307,13 +305,11 @@ class PermutationGroup:
                 return el, label
             label = new
 
-    def conjugacy_classes(
-        self, cap: int = DEFAULT_ENUMERATION_CAP
-    ) -> list[tuple[Permutation, int]]:
+    def conjugacy_classes(self) -> list[tuple[Permutation, int]]:
         """(representative, class size) pairs: representatives are the
         lexicographically least class members, classes sorted by
         representative."""
-        el, label = self.class_labels(cap)
+        el, label = self.class_labels()
         reps, sizes = np.unique(label, return_counts=True)
         return [(tuple(int(x) for x in el[r]), int(s)) for r, s in zip(reps, sizes)]
 

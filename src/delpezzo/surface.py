@@ -13,7 +13,6 @@ Lines are canonical 2x4 reduced row-echelon matrices.  The line through rows
 A and B lies on the surface when the four coefficients of F(sA + tB) vanish:
 F(A), F(B) and the polars sum_v B_v dF/dv(A), sum_v A_v dF/dv(B), an exact
 identity in every characteristic, so the test is exact over small fields too.
-Two lines meet when the Plucker pairing of their coordinates vanishes.
 
 Smoothness is decided exactly, by one rank over F_q (`smoothness_certificate`).
 The surface is singular exactly where F and its four partials have a common
@@ -351,46 +350,7 @@ def lines_on_surface(
     return out
 
 
-#: Plucker coordinates p_kl = r1_k r2_l - r1_l r2_k, k < l
-_PLUCKER_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-#: the Hodge-Pedoe pairing sum_S sign(S) p_S p'_(complement of S): the
-#: Laplace expansion of the 4x4 determinant along the first line's rows
-_PLUCKER_SIGNS = (1, -1, 1, 1, -1, 1)
-
-
-def line_intersection_labels(lines: list[LineInP3]) -> np.ndarray:
-    """Pairwise meeting matrix (1 meets / 0 skew), diagonal -1.
-
-    Two lines meet exactly when the Plucker pairing of their coordinates, the
-    determinant of the stacked 4x4 matrix, vanishes."""
-    n = len(lines)
-    if n == 0:
-        return np.full((0, 0), -1, dtype=np.int64)
-    tab = lines[0].field.tables
-    r1 = np.array([line.row1 for line in lines], dtype=np.int64)
-    r2 = np.array([line.row2 for line in lines], dtype=np.int64)
-    logs = [
-        tab.LOG[tab.add(tab.mul(r1[:, k], r2[:, l]), tab.NEG[tab.mul(r1[:, l], r2[:, k])])]
-        for k, l in _PLUCKER_PAIRS
-    ]
-    pairing = np.zeros((n, n), dtype=np.int64)
-    for s, sign in enumerate(_PLUCKER_SIGNS):
-        term = tab.EXP[logs[s][:, None] + logs[5 - s][None, :]]
-        pairing = tab.add(pairing, term if sign > 0 else tab.NEG[term])
-    labels = (pairing == 0).astype(np.int64)
-    np.fill_diagonal(labels, -1)
-    return labels
-
-
 # -- traces and certificates ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceSequence:
-    """t_j = (#X(F_{q^j}) - q^{2j} - 1) / q^j for j = 1..m."""
-
-    base_order: int
-    values: tuple[int, ...]
 
 
 def _weil_trace(count: int, q: int, m: int) -> int:
@@ -404,14 +364,16 @@ def _weil_trace(count: int, q: int, m: int) -> int:
 
 def trace_sequence(
     form: CubicForm, m_max: int, budget: int = DEFAULT_POINT_BUDGET
-) -> TraceSequence:
+) -> tuple[int, ...]:
+    """t_m = (#X(F_{q^m}) - q^{2m} - 1) / q^m for m = 1..m_max, stopping
+    before the first m whose point scan exceeds the budget."""
     q = form.field.order
     values = []
     for m in range(1, m_max + 1):
         if not _points_fit(q, m, budget):
             break
         values.append(_weil_trace(count_points(form.extend(m), budget=budget), q, m))
-    return TraceSequence(q, tuple(values))
+    return tuple(values)
 
 
 SMOOTH_CERTIFIED = "smooth_certified"

@@ -187,8 +187,8 @@ def schlafli_report() -> list[Check]:
             per_line[x] += 1
     neighbor_counts = sorted({int((graph.labels[i] == 1).sum()) for i in range(27)})
 
-    ds_orbits = incidence.orbit_of_structures(w, list(ds), incidence.apply_to_double_six)
-    tn_orbits = incidence.orbit_of_structures(w, list(tn), incidence.apply_to_triple_nine)
+    ds_orbits = incidence.orbit_of_structures(w, [d.blocks for d in ds])
+    tn_orbits = incidence.orbit_of_structures(w, [t.blocks for t in tn])
 
     return [
         Check("tritangent triangle count", 45, len(triangles)),
@@ -199,7 +199,7 @@ def schlafli_report() -> list[Check]:
         Check("double-six orbit count under Aut", 1, len(set(ds_orbits.values()))),
         Check("triple-nine orbit count under Aut", 1, len(set(tn_orbits.values()))),
         Check("double-six stabilizer order (orbit-stabilizer)", 1440,
-              w.order // list(ds_orbits.values()).count(ds_orbits[ds[0]])),
+              w.order // list(ds_orbits.values()).count(ds_orbits[ds[0].blocks])),
     ]
 
 

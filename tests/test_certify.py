@@ -82,7 +82,7 @@ def _per_element_subgroups():
     reps = [tuple(int(x) for x in elements[r]) for r in rep_rows]
     determinants = np.array([round(np.linalg.det(lattice_matrix(rep))) for rep in reps])
     ds_set = np.zeros(27, dtype=bool)
-    ds_set[list(double_sixes(graph)[0].line_set)] = True
+    ds_set[list(double_sixes(graph)[0].first + double_sixes(graph)[0].second)] = True
     tri_set = np.zeros(27, dtype=bool)
     tri_set[list(tritangent_triangles(graph)[0])] = True
     part_id = np.zeros(27, dtype=np.int64)

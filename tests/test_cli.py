@@ -3,7 +3,16 @@ import json
 
 import pytest
 
-from delpezzo.cli import main, parse_surface_line, parse_u_polynomial, read_surface_file, SurfaceFileError
+from delpezzo.cli import (
+    SurfaceFileError,
+    _density_config,
+    build_parser,
+    main,
+    parse_surface_line,
+    parse_u_polynomial,
+    read_surface_file,
+)
+from delpezzo.experiment import ExperimentConfig
 from delpezzo.gf import field
 
 FERMAT = "1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,1,0,0,1"
@@ -248,6 +257,14 @@ def test_cli_density_tiny(tmp_path):
     assert report["config"]["seed"] == "cli-test"
     assert len(report["rows"]) == 1
     assert csv.read_text().startswith("degree_bound,")
+
+
+def test_cli_flag_defaults_are_the_experiment_config_defaults():
+    assert _density_config(build_parser().parse_args(["density"])) == ExperimentConfig()
+    surface = build_parser().parse_args(["surface", "in.txt"])
+    config = ExperimentConfig()
+    assert (surface.max_place_degree, surface.budget_points, surface.budget_lines) == (
+        config.max_place_degree, config.point_budget, config.line_budget)
 
 
 def test_cli_density_has_no_early_stop_switch(capsys):

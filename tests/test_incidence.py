@@ -6,8 +6,6 @@ import pytest
 
 from delpezzo.lattice import DegreeContext, exceptional_classes, pairing
 from delpezzo.incidence import (
-    apply_to_double_six,
-    apply_to_triple_nine,
     _individualize,
     _Refiner,
     automorphism_group,
@@ -214,7 +212,8 @@ def test_double_sixes():
     g = graph(3)
     ds = double_sixes(g)
     assert len(ds) == 36
-    for d in ds[:6]:
+    assert len({d.blocks for d in ds}) == 36
+    for d in ds:
         rows = (d.first, d.second)
         for row in rows:
             for i in range(6):
@@ -224,6 +223,51 @@ def test_double_sixes():
             for j in range(6):
                 expected = 0 if i == j else 1
                 assert g.label(d.first[i], d.second[j]) == expected
+
+
+def test_double_sixes_match_the_skew_sextuple_search():
+    """Against the search over all 6-sets of pairwise-skew lines, each with
+    the unique line per member that misses it and meets the other five."""
+    g = graph(3)
+    labels = g.labels
+    skew = [frozenset(np.nonzero(labels[i] == 0)[0].tolist()) for i in range(27)]
+    sixes = []
+
+    def grow(chosen, allowed):
+        if len(chosen) == 6:
+            sixes.append(tuple(chosen))
+            return
+        for v in sorted(allowed):
+            rest = frozenset(x for x in allowed if x > v) & skew[v]
+            if len(rest) + len(chosen) + 1 >= 6:
+                grow(chosen + [v], rest)
+
+    grow([], frozenset(range(27)))
+    found = {}
+    for six in sixes:
+        partner = []
+        for a in six:
+            matches = [
+                b for b in range(27)
+                if b not in six and labels[a, b] == 0
+                and all(labels[x, b] == 1 for x in six if x != a)
+            ]
+            if len(matches) != 1:
+                break
+            partner.append(matches[0])
+        else:
+            if any(labels[x, y] != 0 for x, y in combinations(partner, 2)):
+                continue
+            key = frozenset(six) | frozenset(partner)
+            if key in found:
+                continue
+            if min(partner) < min(six):
+                six, partner = tuple(partner), list(six)
+            order = np.argsort(six)
+            found[key] = (tuple(six[i] for i in order), tuple(partner[i] for i in order))
+    want = sorted(found.values())
+    assert len(want) == 36
+    assert [(d.first, d.second) for d in double_sixes(g)] == want
 
 
 def test_trihedral_nines_and_triple_nines():
@@ -277,9 +321,9 @@ def test_trihedral_nines_match_partition_search():
 def test_aut_transitive_on_double_sixes_and_triple_nines():
     g = graph(3)
     w = weyl_image(DegreeContext(3))
-    ds_orbits = orbit_of_structures(w, list(double_sixes(g)), apply_to_double_six)
+    ds_orbits = orbit_of_structures(w, [d.blocks for d in double_sixes(g)])
     assert len(set(ds_orbits.values())) == 1
-    tn_orbits = orbit_of_structures(w, list(triple_nines(g)), apply_to_triple_nine)
+    tn_orbits = orbit_of_structures(w, [t.blocks for t in triple_nines(g)])
     assert len(set(tn_orbits.values())) == 1
 
 

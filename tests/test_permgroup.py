@@ -7,6 +7,7 @@ import pytest
 from delpezzo.incidence import automorphism_group, incidence_graph, weyl_image
 from delpezzo.lattice import DegreeContext
 from delpezzo.permgroup import (
+    DEFAULT_ENUMERATION_CAP,
     CapacityError,
     PermutationGroup,
     compose,
@@ -137,14 +138,15 @@ def test_point_out_of_range():
 
 
 def test_enumeration_capacity_error():
-    G = PermutationGroup(8, transpositions(8))  # order 40320
+    G = PermutationGroup(11, transpositions(11))  # order 39916800, over the cap
+    assert G.order > DEFAULT_ENUMERATION_CAP
     with pytest.raises(CapacityError):
-        list(G.elements(cap=1000))
+        G.elements()
     with pytest.raises(CapacityError):
-        G.element_array(cap=1000)
+        G.element_array()
     with pytest.raises(CapacityError):
-        G.conjugacy_classes(cap=40319)
-    assert len(G.element_array(cap=40320)) == 40320
+        G.conjugacy_classes()
+    assert len(PermutationGroup(8, transpositions(8)).element_array()) == 40320
 
 
 def test_cycle_type_and_power_fixed_points():

@@ -19,6 +19,7 @@ surface is singular.
 import random
 
 import pytest
+from plucker import line_intersection_labels
 
 from delpezzo.gf import embed, field
 from delpezzo.incidence import find_isomorphism, incidence_graph
@@ -28,7 +29,6 @@ from delpezzo.surface import (
     NOT_SMOOTH,
     SMOOTH_CERTIFIED,
     CubicForm,
-    line_intersection_labels,
     lines_on_surface,
     singular_point,
     smoothness_certificate,

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from plucker import line_intersection_labels
 
 from delpezzo.certify import build_class_table
 from delpezzo import surface
@@ -16,7 +17,6 @@ from delpezzo.surface import (
     count_points,
     frobenius_class,
     lines_on_surface,
-    line_intersection_labels,
     singular_point,
     smoothness_certificate,
     splitting_degree,
@@ -149,8 +149,7 @@ def test_singular_point_detection():
 
 
 def test_fermat_traces_over_f2():
-    ts = trace_sequence(CubicForm.fermat(F2), 2, budget=10**6)
-    assert ts.values == (1, 7)
+    assert trace_sequence(CubicForm.fermat(F2), 2, budget=10**6) == (1, 7)
 
 
 def test_trace_sequence_rejects_singular():

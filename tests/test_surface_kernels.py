@@ -14,6 +14,7 @@ import random
 
 import numpy as np
 import pytest
+from plucker import line_intersection_labels
 
 from delpezzo import surface
 from delpezzo.certify import build_class_table
@@ -27,7 +28,6 @@ from delpezzo.surface import (
     NotSmoothOrBadReduction,
     count_points,
     frobenius_class,
-    line_intersection_labels,
     lines_on_surface,
     singular_point,
     smoothness_certificate,
@@ -319,7 +319,7 @@ def test_one_point_scan_and_one_extension_per_level(fs, monkeypatch):
     verdict, traces, evidence = analyse(CubicForm.fermat(fs), table)
     assert verdict.status == surface.SMOOTH_CERTIFIED and evidence.pinned
     levels = [fs.order**m for m in range(1, 7) if fs.order ** (3 * m) <= POINT_BUDGET]
-    assert len(traces.values) == len(levels) >= 2
+    assert len(traces) == len(levels) >= 2
     assert sorted(scans) == levels
     assert sorted(builds) == sorted(set(builds)) and set(levels[1:]) <= set(builds)
 
