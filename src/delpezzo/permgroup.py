@@ -18,12 +18,13 @@ test is `g == _ID`.  Hence the degree is at most 256.
 Groups here act on at most 240 points with order at most |W(E8)| ~ 7e8,
 well inside deterministic reach; full element enumeration is capped.
 `elements()` walks the transversals lazily; `element_array()` builds the
-same rows as one order x degree numpy array, one gather per stabilizer
-level.  Conjugacy classes are computed on that array: every element is keyed
-by its images of the base (which determine it), conjugation by each
-generator becomes one gather plus a sorted-key lookup, and min-label
-propagation with pointer jumping labels each element by the row of the
-lexicographically least member of its class.
+same rows as one order x degree uint8 array, one gather per stabilizer level.
+Conjugacy classes are computed on those rows, sorted: conjugation by each
+generator is one `bytes.translate` and one column gather of all rows, each
+conjugate is found by sifting its base images down the stabilizer chain (one
+gather per level, the inverse of `element_array`), and min-label propagation
+with pointer jumping labels each element by the row of the lexicographically
+least member of its class.
 """
 
 from __future__ import annotations
@@ -261,11 +262,11 @@ class PermutationGroup:
         return walk(0, _ID)
 
     def element_array(self) -> np.ndarray:
-        """Every element as one row of an order x degree array, in exactly the
-        order of `elements()`: one gather per level of the stabilizer chain."""
+        """Every element as one uint8 row of an order x degree array, in exactly
+        the order of `elements()`: one gather per level of the stabilizer chain."""
         self._check_enumerable()
         n = self.degree
-        rows = np.arange(n, dtype=np.int16)[None, :]  # degrees here stay below 2^15
+        rows = np.arange(n, dtype=np.uint8)[None, :]
         for lvl in self._levels:
             reps = np.array([lvl.rep(x, n) for x in sorted(lvl.transversal)], dtype=np.intp)
             # compose(u, right)[j] = right[u[j]], with the earlier levels outermost
@@ -273,33 +274,42 @@ class PermutationGroup:
         return rows
 
     def class_labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """(elements, labels): every element as a row, sorted lexicographically,
-        and for each row the row index of the least member of its class."""
+        """(elements, labels): every element as a uint8 row, sorted
+        lexicographically (as big-endian words), and for each row the row index
+        of the least member of its class.  A conjugate's row is found by sifting
+        its base images down the chain (see above) and then checked in full."""
         el = self.element_array()
-        el = el[np.lexsort(el.T[::-1])]
-        base = list(self.base)
-        assert self.degree ** len(base) < 2**63, "base keys overflow int64"
-        radix = self.degree ** np.arange(len(base) - 1, -1, -1, dtype=np.int64)
-
-        def keys(rows: np.ndarray) -> np.ndarray:
-            return rows[:, base].astype(np.int64) @ radix
-
-        key = keys(el)
-        by_key = np.argsort(key)
-        sorted_keys = key[by_key]
-        neighbours = []
+        order, n = el.shape
+        words = np.pad(el, ((0, 0), (0, -n % 8))).view(">u8")  # byte order = word order
+        by_row = np.lexsort(words.T[::-1])
+        el, rank = el.take(by_row, axis=0), np.empty(order, dtype=np.intp)
+        rank[by_row] = np.arange(order)
+        sift = []  # per level: each point's place in the sorted orbit, the inverse reps
+        for lvl in self._levels:
+            points = sorted(lvl.transversal)
+            place = np.full(MAX_DEGREE, -1, dtype=np.intp)
+            place[points] = np.arange(len(points))
+            inv = np.frombuffer(b"".join(_inv(lvl.transversal[x]) for x in points), np.uint8)
+            sift.append((len(points), place, inv.astype(np.intp)))
+        rows, neighbours = el.tobytes(), []
         for g in self.generators:
-            g_arr = np.array(g, dtype=np.intp)
-            conj = g_arr[el[:, inverse(g)]]  # g^-1 y g for every element y
-            at = np.searchsorted(sorted_keys, keys(conj))
-            found = by_key[np.minimum(at, len(el) - 1)]
-            assert np.array_equal(el[found], conj), "conjugate outside the group"
+            conj = np.frombuffer(rows.translate(_encode(g)), np.uint8).reshape(order, n)
+            conj = conj[:, inverse(g)]  # g^-1 y g for every element y
+            images = conj.T[list(self.base)].astype(np.intp)  # widened before arithmetic
+            found = np.zeros(order, dtype=np.intp)
+            for i, (size, place, inv) in enumerate(sift):
+                at = place[images[i]]
+                assert at.min() >= 0, "conjugate outside the group"
+                found = found * size + at
+                images[i + 1:] = inv[images[i + 1:] + at * MAX_DEGREE]
+            found = rank[found]
+            assert np.array_equal(el.take(found, axis=0), conj), "conjugate outside the group"
             neighbours.append(found)
-        label = np.arange(len(el))
+        label = np.arange(order)
         while True:
             new = label
             for nb in neighbours:
-                new = np.minimum(new, label[nb])
+                new = np.minimum(new, new[nb])
             new = new[new]
             if np.array_equal(new, label):
                 return el, label

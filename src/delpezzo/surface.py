@@ -211,19 +211,21 @@ def _zeros(tab, terms, chunks) -> list[np.ndarray]:
     return [np.concatenate(c) for c in zip(*parts)]
 
 
-#: points per evaluation chunk of the scans (2 MB per int64 array)
-POINT_CHUNK = 1 << 18
+#: elements per temporary of the point and line scans (at most 256 KB of
+#: int64); with 2 and 8 MB temporaries the density benchmark's job took about
+#: 15k minor page faults, with 256 KB about 300 (glibc malloc, Linux)
+SCAN_CHUNK = 1 << 15
 
 
 def _grid(q: int, pivot: int, free):
     """The points with coordinate `pivot` 1, the `free` ones ranging over the
-    field in counter order and the others 0, in chunks of about POINT_CHUNK
+    field in counter order and the others 0, in chunks of about SCAN_CHUNK
     points.  A chunk is (head, w): every pair of a head row (encoded X, Y, Z:
     scalars or arrays of one length) and a W in `w`, head-major."""
     head_free = [col for col in free if col < 3]
     w = np.arange(q, dtype=np.int64) if 3 in free else np.full(1, int(pivot == 3), dtype=np.int64)
     size = q ** len(head_free)
-    rows = max(1, POINT_CHUNK // len(w))
+    rows = max(1, SCAN_CHUNK // len(w))
     for lo in range(0, size, rows):
         idx = np.arange(lo, min(lo + rows, size), dtype=np.int64)
         head: list = [np.int64(v == pivot) for v in range(3)]
@@ -294,10 +296,6 @@ class LineInP3:
     row2: tuple[int, int, int, int]
 
 
-#: pairs of surviving rows tested per chunk of the line scan
-PAIR_CHUNK = 1 << 20
-
-
 def lines_on_surface(
     form: CubicForm, budget: int = DEFAULT_LINE_BUDGET
 ) -> list[LineInP3]:
@@ -333,7 +331,7 @@ def lines_on_surface(
         db = polar_logs(b, [i] + free1)
         log_a = {v: tab.LOG[a[v]][:, None] for v in free1}
         log_b = {v: tab.LOG[b[v]][None, :] for v in free2}
-        chunk = max(1, PAIR_CHUNK // n2)
+        chunk = max(1, SCAN_CHUNK // n2)
         for lo in range(0, n1, chunk):
             rows = slice(lo, lo + chunk)
             c1 = tab.EXP[da[j][rows]][:, None]

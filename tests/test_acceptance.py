@@ -6,10 +6,7 @@ lines; every expected value is pinned here, nothing is deferred.
 
 import hashlib
 import json
-import math
 import time
-
-import pytest
 
 from delpezzo.certify import build_class_table, oracle_cross_validation
 from delpezzo.experiment import (
@@ -39,7 +36,7 @@ from delpezzo.surface import (
     smoothness_certificate,
     splitting_degree,
 )
-from delpezzo.verify import stabilizer_chain_check, verify_table1, schlafli_report
+from delpezzo.verify import stabilizer_chain_check, verify_table1
 
 EXPECTED_COUNTS = (240, 56, 27, 16, 10, 6, 3)
 EXPECTED_ORDERS = (696729600, 2903040, 51840, 1920, 120, 12, 2)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from delpezzo.certify import (
     INCONCLUSIVE,
     H1_TRIVIAL,
     NOT_IN_LISTED_SUBGROUPS,
-    NO_STABLE_DOUBLE_SIX,
     NO_STABLE_TRIPLE_NINE,
     ClassTable,
     PlaceEvidence,
@@ -19,7 +16,6 @@ from delpezzo.certify import (
     kernel_basis,
     lattice_matrix,
     oracle_cross_validation,
-    root_lattice_matrix,
     smith_normal_form,
     subgroup_exclusion_certificate,
 )

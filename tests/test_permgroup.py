@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -207,9 +208,20 @@ def bfs_conjugacy_classes(G):
     return sorted(classes)
 
 
+def from_cycles(n, *cycles):
+    p = list(range(n))
+    for c in cycles:
+        for a, b in zip(c, c[1:] + c[:1]):
+            p[a] = b
+    return tuple(p)
+
+
 def cross_check_groups():
     yield PermutationGroup(4, transpositions(4))
     yield PermutationGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    # degree 256, moving point 255: rows are uint8, so index arithmetic done
+    # in uint8 would wrap here
+    yield PermutationGroup(256, [from_cycles(256, (0, 255)), from_cycles(256, (1, 2, 3))])
     for d in range(3, 8):
         yield weyl_image(DegreeContext(d))
 
@@ -229,6 +241,19 @@ def test_conjugacy_classes_match_the_orbit_partition():
         assert [tuple(r) for r in el.tolist()] == sorted(G.elements())
         assert [tuple(el[r].tolist()) for r in sorted(set(label.tolist()))] == [
             rep for rep, _ in classes]
+
+
+def test_class_table_build_stays_small():
+    # the 51840 rows of 27 bytes take 1.4 MB, and a generator's pass holds a
+    # few arrays of that size at once
+    G = weyl_image(DegreeContext(3))
+    tracemalloc.start()
+    try:
+        assert len(G.conjugacy_classes()) == 25
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_conjugacy_classes_of_trivial_and_cyclic_groups():

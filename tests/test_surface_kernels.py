@@ -11,6 +11,7 @@ points include every pattern of zero coordinates.
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from delpezzo.surface import (
     _eval_terms_batch,
     _strata,
     NotSmoothOrBadReduction,
+    SMOOTH_CERTIFIED,
     count_points,
     frobenius_class,
     lines_on_surface,
@@ -131,8 +133,8 @@ def strata_points(q):
 @pytest.mark.parametrize("fs", FIELDS, ids=FIELD_IDS)
 def test_point_scans_match_brute_force(fs, monkeypatch):
     points = projective_points(fs)
-    for chunk in (surface.POINT_CHUNK, 5):
-        monkeypatch.setattr(surface, "POINT_CHUNK", chunk)
+    for chunk in (surface.SCAN_CHUNK, 5):
+        monkeypatch.setattr(surface, "SCAN_CHUNK", chunk)
         assert strata_points(fs.order) == points
         for form in seeded_forms(fs):  # fresh forms: each form scans once
             zeros = [p for p in points if slow_value(form, p) == 0]
@@ -206,10 +208,25 @@ def test_lines_on_surface_matches_full_expansion(fs, monkeypatch):
     for form in seeded_forms(fs):
         want = old_lines_on_surface(form)
         assert lines_on_surface(form) == want
-        monkeypatch.setattr(surface, "PAIR_CHUNK", 3)
-        monkeypatch.setattr(surface, "POINT_CHUNK", 4)
+        monkeypatch.setattr(surface, "SCAN_CHUNK", 3)
         assert lines_on_surface(form) == want
         monkeypatch.undo()
+
+
+def test_line_scan_stays_small():
+    # every scan temporary holds at most SCAN_CHUNK elements (256 KB of int64)
+    fs = field(2, 9)
+    rng = random.Random("line scan memory")
+    form = CubicForm.from_ints(fs, [rng.randrange(fs.order) for _ in range(20)])
+    assert smoothness_certificate(form).status == SMOOTH_CERTIFIED
+    lines = lines_on_surface(form, budget=fs.order**4)  # builds the field tables
+    tracemalloc.start()
+    try:
+        assert lines_on_surface(form, budget=fs.order**4) == lines
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_line_scan_sees_many_lines():
