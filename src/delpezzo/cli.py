@@ -264,8 +264,9 @@ DEFAULTS = ExperimentConfig()
 
 def _add_budget_flags(sub) -> None:
     sub.add_argument("--budget-points", type=int, default=DEFAULTS.point_budget,
-                     help="max nominal point evaluations q^(3m) per point count "
-                          "(traces and Frobenius evidence; smoothness needs no budget)")
+                     help="max size q^(3m) of P^3 over the field of a point count, whose "
+                          "work is about q^(2m) (traces and Frobenius evidence; "
+                          "smoothness needs no budget)")
     sub.add_argument("--budget-lines", type=int, default=DEFAULTS.line_budget,
                      help="max nominal line patterns q^(4m) per enumeration")
 

@@ -6,8 +6,19 @@ Scans are vectorized over encodings in log domain, with the field's own
 tables (`FieldSpec.tables`): a term c x^a y^b z^c w^d is one gather
 EXP[LOG c + a LOG x + b LOG y + ...] from an exponent table that is zero past
 the sentinel LOG 0, and terms add by XOR in characteristic 2, in prime-field
-coordinates otherwise.  Point scans take F as a cubic in w whose coefficients
-are evaluated once per chunk of (x, y, z) rows.
+coordinates otherwise.  A scan grid is chunked along an inner axis, its last
+free coordinate (w when none is free): F is a cubic in that coordinate whose
+four coefficients are evaluated once per row of the other coordinates, so a
+grid costs one evaluation per row and four gathers per point.
+
+Points are counted from the lines through a rational point.  By
+Chevalley-Warning the form has a zero P over its base field; the first in
+counter order is moved to (0, 0, 0, 1) by a change of coordinates over the
+base field, so that F = G0 + w G1 + w^2 G2.  Every other point is (v, s) on
+the line through P and a point v of the plane w = 0, with s a root of
+G0(v) + s G1(v) + s^2 G2(v): #X = 1 + the sum of those root counts over
+P^2(F_Q), read from an F_2-trace table in characteristic 2 and from the
+parity of the discriminant's log otherwise, with Q for a line on X.
 
 Lines are canonical 2x4 reduced row-echelon matrices.  The line through rows
 A and B lies on the surface when the four coefficients of F(sA + tB) vanish:
@@ -27,11 +38,12 @@ every element of J but not every monomial.  The rank of the Macaulay matrix
 (`_macaulay_matrix`) is that of J in the target degree and does not change
 under field extension, so the test needs no extension field and no budget.
 
-A `CubicForm` builds each extension, its encoded terms and its point count
-once; `count_points` is a view of that count.  A point scan over GF(q^m) needs
-q^(3m) within the point budget; a line scan needs q^(4m) within the line
-budget and q^m within TABLE_FIELD_CAP, the order up to which fields have
-tables.
+A `CubicForm` builds each extension, its encoded terms, its moved form and
+its point count once; `count_points` is a view of that count, and an
+extension inherits the base form's moved form, lifted.  A point count over
+GF(q^m) needs q^(3m) within the point budget, though it costs about q^(2m);
+a line scan needs q^(4m) within the line budget and q^m within
+TABLE_FIELD_CAP, the order up to which fields have tables.
 """
 
 from __future__ import annotations
@@ -100,19 +112,6 @@ class CubicForm:
     def coefficient_encodings(self) -> list[int]:
         return list(self.coeffs)
 
-    def evaluate(self, point: tuple[Element, Element, Element, Element]) -> Element:
-        fs = self.field
-        acc = 0
-        for c, e in zip(self.coeffs, MONOMIALS):
-            if c == 0:
-                continue
-            term = c
-            for v, mult in enumerate(e):
-                for _ in range(mult):
-                    term = fs.mul(term, point[v])
-            acc = fs.add(acc, term)
-        return acc
-
     def extend(self, m: int) -> "CubicForm":
         """The same form over GF(q^m), built once per form and m."""
         if m == 1:
@@ -123,6 +122,9 @@ class CubicForm:
             big = field(fs.p, fs.k * m)
             lift = embed(fs, big)
             ext = self._extensions[m] = CubicForm(big, tuple(lift(c) for c in self.coeffs))
+            # the extension counts its points from the base form's rational
+            # point: one point search and one change of coordinates per form
+            ext.__dict__["_moved"] = tuple(lift(c) for c in self._moved)
         return ext
 
     @cached_property
@@ -147,10 +149,18 @@ class CubicForm:
         return tuple(out)
 
     @cached_property
+    def _moved(self) -> tuple[Element, ...]:
+        """The coefficients of the form with its first rational point (in
+        counter order) moved to (0, 0, 0, 1); see `_move`."""
+        point = next(z for z in (_chunk_zeros(self.field.tables, self.terms, chunk)
+                                 for chunk in _strata(self.field.order)) if len(z[0]))
+        return _move(self, tuple(int(c[0]) for c in point))
+
+    @cached_property
     def _point_count(self) -> int:
-        """One pass over P^3(F_q): the number of points of the surface."""
-        tab, chunks = self.field.tables, _strata(self.field.order)
-        return sum(int(np.count_nonzero(_eval_grid(tab, self.terms, head, w) == 0)) for head, w in chunks)
+        """The number of points of the surface, from the lines through its
+        rational point (`_count_through_point`)."""
+        return _count_through_point(self.field.tables, self._moved)
 
 
 def _eval_terms_batch(tab, terms: list[tuple[int, tuple[int, ...]]], coords: list) -> np.ndarray:
@@ -158,11 +168,11 @@ def _eval_terms_batch(tab, terms: list[tuple[int, tuple[int, ...]]], coords: lis
     scalar or a 1-D array, all arrays of one length (length 1 if none).
     The coefficient and the scalar coordinates fold into an offset into EXP
     (one at the zero sentinel skips the term); the array logs add to it."""
-    shape = np.broadcast_shapes((1,), *(np.shape(c) for c in coords))
+    size = max((len(c) for c in coords if isinstance(c, np.ndarray)), default=1)
     zero_log = int(tab.LOG[0])
-    logs = [tab.LOG[c] if np.ndim(c) else int(tab.LOG[c]) for c in coords]
+    logs = [tab.LOG[c] if isinstance(c, np.ndarray) else int(tab.LOG[c]) for c in coords]
     char2 = tab.COORDS is None
-    acc = np.zeros(shape if char2 else shape + (tab.fs.k,), dtype=np.int64)
+    acc = np.zeros((size,) if char2 else (size, tab.fs.k), dtype=np.int64)
     for enc, e in terms:
         offset = int(tab.LOG[enc])
         part = 0
@@ -183,32 +193,38 @@ def _eval_terms_batch(tab, terms: list[tuple[int, tuple[int, ...]]], coords: lis
     return (acc % tab.fs.p) @ tab.PPOW
 
 
-def _eval_grid(tab, terms, head: list, w: np.ndarray) -> np.ndarray:
-    """The form at every pair of a head row (encoded X, Y, Z: scalars or
-    arrays of one length) and a W in `w`, as a (rows, len(w)) array.
+def _eval_grid(tab, terms, head: list, axis: int, t: np.ndarray) -> np.ndarray:
+    """The form at every pair of a head row (encoded coordinates: scalars or
+    arrays of one length, 1 at `axis`) and a value of coordinate `axis` in
+    `t`, as a (rows, len(t)) array.
 
-    F = sum_k W^k G_k(X, Y, Z): the 20 terms are evaluated on the rows only,
-    and each of the four powers of W costs one gather on the whole grid."""
-    one = np.int64(1)
-    log_w = tab.LOG[w][None, :]
-    acc = np.zeros((1, len(w)), dtype=np.int64)
+    F = sum_k T^k G_k, T the axis coordinate: the terms are evaluated on the
+    rows only, and each of the four powers of T costs one gather on the whole
+    grid."""
+    log_t = tab.LOG[t][None, :]
+    acc = np.zeros((1, len(t)), dtype=np.int64)
     for k in range(4):
-        terms_k = [t for t in terms if t[1][3] == k]
+        terms_k = [term for term in terms if term[1][axis] == k]
         if terms_k:
-            g = _eval_terms_batch(tab, terms_k, head + [one])[:, None]
-            acc = tab.add(acc, g if k == 0 else tab.EXP[tab.LOG[g] + k * log_w])
+            g = _eval_terms_batch(tab, terms_k, head)[:, None]
+            acc = tab.add(acc, g if k == 0 else tab.EXP[tab.LOG[g] + k * log_t])
     return acc
 
 
+def _chunk_zeros(tab, terms, chunk) -> list[np.ndarray]:
+    """Encoded (X, Y, Z, W) arrays of the points of a `_grid` chunk where the
+    form vanishes, in order."""
+    head, axis, t = chunk
+    values = _eval_grid(tab, terms, head, axis, t)
+    rows, cols = np.nonzero(values == 0)
+    out = [c[rows] if isinstance(c, np.ndarray) else np.full(len(rows), c) for c in head]
+    out[axis] = t[cols]
+    return out
+
+
 def _zeros(tab, terms, chunks) -> list[np.ndarray]:
-    """Encoded (X, Y, Z, W) arrays of the points of the (head, w) chunks
-    where the form vanishes, in order."""
-    parts = []
-    for head, w in chunks:
-        values = _eval_grid(tab, terms, head, w)
-        rows, cols = np.nonzero(values == 0)
-        parts.append([np.broadcast_to(c, values.shape[:1])[rows] for c in head] + [w[cols]])
-    return [np.concatenate(c) for c in zip(*parts)]
+    """The zeros of the form in all `chunks`, in order (see `_chunk_zeros`)."""
+    return [np.concatenate(c) for c in zip(*(_chunk_zeros(tab, terms, chunk) for chunk in chunks))]
 
 
 #: elements per temporary of the point and line scans (at most 256 KB of
@@ -220,29 +236,114 @@ SCAN_CHUNK = 1 << 15
 def _grid(q: int, pivot: int, free):
     """The points with coordinate `pivot` 1, the `free` ones ranging over the
     field in counter order and the others 0, in chunks of about SCAN_CHUNK
-    points.  A chunk is (head, w): every pair of a head row (encoded X, Y, Z:
-    scalars or arrays of one length) and a W in `w`, head-major."""
-    head_free = [col for col in free if col < 3]
-    w = np.arange(q, dtype=np.int64) if 3 in free else np.full(1, int(pivot == 3), dtype=np.int64)
+    points.  A chunk is (head, axis, t): every pair of a head row (encoded
+    coordinates: scalars or arrays of one length, 1 at `axis`) and a value of
+    coordinate `axis` in `t`, head-major.  The axis is the last free
+    coordinate, so that F is a cubic in it on the whole chunk, or W when none
+    is free."""
+    head_free = list(free)
+    if head_free:
+        axis, t = head_free.pop(), np.arange(q, dtype=np.int64)
+    else:
+        axis, t = 3, np.full(1, int(pivot == 3), dtype=np.int64)
     size = q ** len(head_free)
-    rows = max(1, SCAN_CHUNK // len(w))
+    rows = max(1, SCAN_CHUNK // len(t))
     for lo in range(0, size, rows):
         idx = np.arange(lo, min(lo + rows, size), dtype=np.int64)
-        head: list = [np.int64(v == pivot) for v in range(3)]
+        head: list = [np.int64(v == pivot or v == axis) for v in range(4)]
         for n, col in enumerate(head_free):
             head[col] = (idx // q ** (len(head_free) - 1 - n)) % q
-        yield head, w
+        yield head, axis, t
 
 
-def _strata(q: int):
-    """All of P^3(F_q) in counter order: stratum s has coordinate s equal to
-    1, the ones before it 0 and the 3 - s after it free."""
-    for lead in range(4):
-        yield from _grid(q, lead, range(lead + 1, 4))
+def _strata(q: int, n: int = 4):
+    """All of P^(n-1)(F_q), as the points of P^3 with the coordinates from n
+    on 0, in counter order: stratum s has coordinate s equal to 1, the ones
+    before it 0 and the n - 1 - s after it free."""
+    for lead in range(n):
+        yield from _grid(q, lead, range(lead + 1, n))
+
+
+def _move(form: CubicForm, point) -> tuple[Element, ...]:
+    """The coefficients of F(A v), A the matrix whose first three columns are
+    the unit vectors other than e_s, in order, and whose last is `point`, a
+    zero of F with first nonzero coordinate 1, at s.  The moved form vanishes
+    at (0, 0, 0, 1) and has the points of F over every extension.  With u
+    the point of the plane x_s = 0 with coordinates v_0, v_1, v_2, F(A v) is
+    F(u + w P) = F(u) + w sum_i P_i dF/dx_i(u) + w^2 sum_i u_i dF/dx_i(P),
+    the polar expansion of the line scan."""
+    fs = form.field
+    s = point.index(1)
+    others = [i for i in range(4) if i != s]
+    out = dict.fromkeys(MONOMIALS, 0)
+
+    def put(c, e, k):
+        # c times the monomial e of the plane x_s = 0, times w^k
+        if c and not e[s]:
+            key = tuple(e[i] for i in others) + (k,)
+            out[key] = fs.add(out[key], c)
+
+    at_point = [np.int64(x) for x in point]
+    for c, e in form.terms:
+        put(c, e, 0)
+    for i, grad in enumerate(form.gradient_terms):
+        for c, e in grad:
+            put(fs.mul(point[i], c), e, 1)
+        put(int(_eval_terms_batch(fs.tables, grad, at_point)[0]), tuple(int(v == i) for v in range(4)), 2)
+    return tuple(out[e] for e in MONOMIALS)
+
+
+@lru_cache(maxsize=None)
+def _root_table(fs: FieldSpec) -> np.ndarray:
+    """Per encoding c, the roots in the field of t^2 + t = c in
+    characteristic 2 (2 or 0, by the F_2-trace of c), of s^2 = c otherwise
+    (1 at 0, else 2 or 0 by the parity of LOG c)."""
+    tab = fs.tables
+    x = np.arange(fs.order, dtype=np.int64)
+    if tab.COORDS is None:
+        trace, power = x.copy(), x
+        for _ in range(fs.k - 1):
+            power = tab.mul(power, power)
+            trace ^= power
+        return 2 - 2 * trace
+    return np.where(x == 0, 1, 2 - 2 * (tab.LOG[x] % 2))
+
+
+def _root_counts(tab, g0, g1, g2) -> np.ndarray:
+    """Elementwise, the roots s in the field of g0 + s g1 + s^2 g2, and the
+    field order where all three vanish."""
+    q = tab.fs.order
+    roots = _root_table(tab.fs)
+    linear = np.where(g1 != 0, 1, np.where(g0 != 0, 0, q))
+    if tab.COORDS is None:
+        # s = (g1 / g2) t turns it into t^2 + t = g0 g2 / g1^2; with g1 = 0
+        # the one root is the square root of g0 / g2
+        inverse_log = (q - 1 - tab.LOG[g1]) % (q - 1)
+        quadratic = np.where(g1 != 0, roots[tab.EXP[tab.LOG[g0] + tab.LOG[g2] + 2 * inverse_log]], 1)
+    else:
+        four_g0_g2 = tab.EXP[int(tab.LOG[tab.fs.scalar(4)]) + tab.LOG[g0] + tab.LOG[g2]]
+        quadratic = roots[tab.add(tab.EXP[2 * tab.LOG[g1]], tab.NEG[four_g0_g2])]
+    return np.where(g2 != 0, quadratic, linear)
+
+
+def _count_through_point(tab, moved) -> int:
+    """#X(F_Q) for a form (coefficients in MONOMIALS order) that vanishes at
+    P = (0, 0, 0, 1): F = G0 + W G1 + W^2 G2, and every other point of X is
+    (v, s) on the line through P and a point v of the plane W = 0, with s a
+    root of G0(v) + s G1(v) + s^2 G2(v) (`_root_counts`)."""
+    terms = [(c, e) for c, e in zip(moved, MONOMIALS) if c]
+    g = [[(c, e[:3] + (0,)) for c, e in terms if e[3] == k] for k in range(3)]
+    count = 1
+    for chunk in _strata(tab.fs.order, 3):
+        g0, g1, g2 = (_eval_grid(tab, g_k, *chunk) for g_k in g)
+        count += int(_root_counts(tab, g0, g1, g2).sum())
+    return count
 
 
 def _points_fit(q: int, m: int, budget: int) -> bool:
-    """The point gate: a scan of P^3(GF(q^m)) costs q^(3m) evaluations."""
+    """The point gate, q^(3m) <= budget: the size of P^3(GF(q^m)), which the
+    trace depth of reports is pinned to.  A count from the lines through a
+    rational point costs about q^(2m) evaluations."""
     return q ** (3 * m) <= budget
 
 
@@ -253,7 +354,8 @@ def _lines_fit(q: int, m: int, budget: int) -> bool:
 
 
 def count_points(form: CubicForm, budget: int = DEFAULT_POINT_BUDGET) -> int:
-    """|{P in P^3(F_q) : F(P) = 0}|, from the form's point scan."""
+    """|{P in P^3(F_q) : F(P) = 0}|, the form's count from the lines through
+    its rational point."""
     q = form.field.order
     if not _points_fit(q, 1, budget):
         raise BudgetExceeded(f"point count over order-{q} field exceeds budget {budget}")
@@ -364,7 +466,7 @@ def trace_sequence(
     form: CubicForm, m_max: int, budget: int = DEFAULT_POINT_BUDGET
 ) -> tuple[int, ...]:
     """t_m = (#X(F_{q^m}) - q^{2m} - 1) / q^m for m = 1..m_max, stopping
-    before the first m whose point scan exceeds the budget."""
+    before the first m whose point count exceeds the budget."""
     q = form.field.order
     values = []
     for m in range(1, m_max + 1):

@@ -1,12 +1,15 @@
 """Cross-checks of the vectorized surface kernels against slow references,
-and the per-form memo: one point scan per form and extension.
+and the per-form memo: one point search per form, one plane pass and one
+extension per level.
 
 Each kernel is compared, exhaustively over GF(2), GF(3), GF(4), GF(5), GF(7)
-and GF(9), with a straightforward implementation: `CubicForm.evaluate` at
-every point, the full per-pair expansion of the restricted binary cubic for
-the line scan, and Gaussian elimination on the stacked 4x4 matrix for the
-intersection labels.  The seeded forms have many zero coefficients, and the
-points include every pattern of zero coordinates.
+and GF(9), with a straightforward implementation: `slow_eval` at every point,
+the full per-pair expansion of the restricted binary cubic for the line scan,
+and Gaussian elimination on the stacked 4x4 matrix for the intersection
+labels.  The point count from the lines through a rational point is compared
+with direct evaluation at every point of P^3, from every rational point of
+the form, over extensions too.  The seeded forms have many zero coefficients,
+and the points include every pattern of zero coordinates.
 """
 
 import itertools
@@ -24,7 +27,10 @@ from delpezzo.surface import (
     MONOMIALS,
     CubicForm,
     LineInP3,
+    _count_through_point,
     _eval_terms_batch,
+    _grid,
+    _move,
     _strata,
     NotSmoothOrBadReduction,
     SMOOTH_CERTIFIED,
@@ -90,8 +96,7 @@ def slow_eval(fs, terms, point):
 
 
 def slow_value(form, point):
-    fs = form.field
-    return fs.to_int(form.evaluate(tuple(fs.from_int(x) for x in point)))
+    return slow_eval(form.field, form.terms, point)
 
 
 @pytest.mark.parametrize("fs", FIELDS, ids=FIELD_IDS)
@@ -121,13 +126,59 @@ def test_log_tables_cover_four_zero_factors():
         assert not tab.EXP[zero_log:].any()
 
 
-def strata_points(q):
+def chunk_points(chunks):
+    """The points of `_grid` chunks, in order."""
     out = []
-    for head, w in _strata(q):
+    for head, axis, t in chunks:
+        assert int(head[axis]) == 1
         rows = max(np.size(h) for h in head)
         cols = [np.broadcast_to(h, (rows,)) for h in head]
-        out += [tuple(int(c[r]) for c in cols) + (int(x),) for r in range(rows) for x in w]
+        for r in range(rows):
+            point = [int(c[r]) for c in cols]
+            for x in t:
+                point[axis] = int(x)
+                out.append(tuple(point))
     return out
+
+
+def strata_points(q):
+    return chunk_points(_strata(q))
+
+
+def grid_points(q, pivot, free):
+    """The points with coordinate `pivot` 1, the `free` ones ranging over the
+    field in counter order (the last fastest) and the others 0."""
+    out = []
+    for values in itertools.product(range(q), repeat=len(free)):
+        point = [int(v == pivot) for v in range(4)]
+        for col, x in zip(free, values):
+            point[col] = x
+        out.append(tuple(point))
+    return out
+
+
+#: the (pivot, free coordinates) of every grid: the strata of P^3 and of the
+#: plane w = 0, and both rows of every line-scan pivot pattern
+GRIDS = sorted(
+    {(lead, tuple(range(lead + 1, n))) for n in (3, 4) for lead in range(n)}
+    | {(i, tuple(k for k in range(i + 1, 4) if k != j)) for i, j in itertools.combinations(range(4), 2)}
+    | {(j, tuple(range(j + 1, 4))) for j in range(1, 4)}
+)
+
+
+@pytest.mark.parametrize("fs", FIELDS, ids=FIELD_IDS)
+def test_grid_chunks_enumerate_points_along_the_last_free_coordinate(fs, monkeypatch):
+    q = fs.order
+    for chunk in (surface.SCAN_CHUNK, 5):
+        monkeypatch.setattr(surface, "SCAN_CHUNK", chunk)
+        for pivot, free in GRIDS:
+            chunks = list(_grid(q, pivot, free))
+            assert chunk_points(chunks) == grid_points(q, pivot, free)
+            for head, axis, t in chunks:
+                assert axis == (free[-1] if free else 3)
+                # a free coordinate puts the whole field on the inner axis
+                assert len(t) == (q if free else 1)
+                assert max(np.size(h) for h in head) * len(t) <= max(chunk, len(t))
 
 
 @pytest.mark.parametrize("fs", FIELDS, ids=FIELD_IDS)
@@ -142,6 +193,69 @@ def test_point_scans_match_brute_force(fs, monkeypatch):
             grads = [[(fs.from_int(c), e) for c, e in g] for g in form.gradient_terms]
             singular = [p for p in zeros if all(slow_eval(fs, g, p) == 0 for g in grads)]
             assert singular_point(form, max_extension=1) == ((1, singular[0]) if singular else None)
+
+
+# -- point counts from the lines through a rational point ---------------------
+
+
+def all_points(fs):
+    """Encoded coordinate arrays of every point of P^3(F_q)."""
+    q = fs.order
+    parts = []
+    for lead in range(4):
+        coords = [np.full(q ** (3 - lead), int(v == lead), dtype=np.int64) for v in range(4)]
+        mesh = np.meshgrid(*[np.arange(q, dtype=np.int64)] * (3 - lead), indexing="ij")
+        for col, arr in zip(range(lead + 1, 4), mesh):
+            coords[col] = arr.ravel()
+        parts.append(coords)
+    return [np.concatenate(c) for c in zip(*parts)]
+
+
+def direct_count(form):
+    """The zeros of the form among all points of P^3, by direct evaluation."""
+    values = _eval_terms_batch(form.field.tables, form.terms, all_points(form.field))
+    return int(np.count_nonzero(values == 0))
+
+
+#: base fields and the extension levels up to which counts are compared
+COUNT_LEVELS = [(field(2), 3), (field(3), 3), (field(2, 2), 3),
+                (field(5), 2), (field(7), 2), (field(3, 2), 2)]
+
+
+@pytest.mark.parametrize("fs, levels", COUNT_LEVELS, ids=[repr(fs) for fs, _ in COUNT_LEVELS])
+def test_count_from_every_rational_point_matches_direct_evaluation(fs, levels):
+    singular_base = line_through_base = False
+    for form in seeded_forms(fs):
+        bigs = [field(fs.p, fs.k * m) for m in range(1, levels + 1)]
+        want = [direct_count(form.extend(m)) for m in range(1, levels + 1)]
+        assert [count_points(form.extend(m)) for m in range(1, levels + 1)] == want
+        zeros = [p for p in projective_points(fs) if slow_value(form, p) == 0]
+        for point in zeros:
+            moved = _move(form, point)
+            assert moved[MONOMIALS.index((0, 0, 0, 3))] == 0
+            for big, n in zip(bigs, want):
+                lift = embed(fs, big)
+                assert _count_through_point(big.tables, tuple(lift(c) for c in moved)) == n
+        # the base points include singular points and points on lines of X
+        singular_base |= any(all(slow_eval(fs, g, p) == 0 for g in form.gradient_terms) for p in zeros)
+        line_through_base |= bool(lines_on_surface(form))
+    assert singular_base and line_through_base
+
+
+def test_point_count_stays_small():
+    # a count over GF(512) holds at most SCAN_CHUNK elements per temporary
+    fs = field(2, 9)
+    rng = random.Random("point count memory")
+    coeffs = [rng.randrange(fs.order) for _ in range(20)]
+    budget = fs.order**3
+    want = count_points(CubicForm.from_ints(fs, coeffs), budget=budget)  # builds the tables
+    tracemalloc.start()
+    try:
+        assert count_points(CubicForm.from_ints(fs, coeffs), budget=budget) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # -- the line scan, against the full per-pair expansion -----------------------
@@ -320,12 +434,12 @@ def analyse(form, table):
 @pytest.mark.parametrize("fs", [field(2), field(5)], ids=repr)
 def test_one_point_scan_and_one_extension_per_level(fs, monkeypatch):
     table = build_class_table()
-    scans, builds = [], []
+    strata_calls, builds = [], []
     strata, embed = surface._strata, surface.embed
 
-    def counting_strata(q):
-        scans.append(q)
-        return strata(q)
+    def counting_strata(q, n=4):
+        strata_calls.append((q, n))
+        return strata(q, n)
 
     def counting_embed(src, dst):
         builds.append(dst.order)
@@ -337,7 +451,10 @@ def test_one_point_scan_and_one_extension_per_level(fs, monkeypatch):
     assert verdict.status == surface.SMOOTH_CERTIFIED and evidence.pinned
     levels = [fs.order**m for m in range(1, 7) if fs.order ** (3 * m) <= POINT_BUDGET]
     assert len(traces) == len(levels) >= 2
-    assert sorted(scans) == levels
+    # one search of P^3 for the base form's rational point, one pass over
+    # the plane per level, one extension build per level
+    assert [q for q, n in strata_calls if n == 4] == [fs.order]
+    assert sorted(q for q, n in strata_calls if n == 3) == levels
     assert sorted(builds) == sorted(set(builds)) and set(levels[1:]) <= set(builds)
 
 
