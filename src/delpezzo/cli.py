@@ -111,6 +111,9 @@ def _emit(report: dict, args) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.all and args.degree is not None:
+        print("verify: --all and --degree exclude each other", file=sys.stderr)
+        return 2
     if args.degree is not None:
         if not 1 <= args.degree <= 7:
             print(f"verify: degree must be in 1..7, got {args.degree}", file=sys.stderr)

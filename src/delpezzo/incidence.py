@@ -4,10 +4,13 @@ The graph for degree d has the n_d exceptional classes (in canonical lexicograph
 order) as vertices and the pairwise intersection numbers as edge labels, with -1
 on the diagonal.  Automorphisms are the label-matrix-preserving vertex
 permutations, found by backtracking over an iterated equitable-partition
-refinement (per-label color counts, ranked as big-endian byte keys), with
-coset candidates already in the orbit of the generators found so far skipped
-(orbit pruning); the Weyl image is the permutation action of the simple-root
-reflections on the same vertex list.
+refinement (color counts for every label but the last, which they imply,
+ranked as big-endian byte keys), with coset candidates already in the orbit of
+the generators found so far skipped (orbit pruning).  Each refiner refines a
+given coloring once and hands back the same read-only result on a repeat, so
+the domain side of a level is refined once, not once per coset candidate.  The
+Weyl image is the permutation action of the simple-root reflections on the
+same vertex list.
 
 For degree 3 the classical substructures of the 27 lines are enumerated here:
 tritangent triangles (class sum = -K), double sixes and triple nines.  Double
@@ -95,12 +98,23 @@ class _Refiner:
     cell; a cell-size histogram mismatch proves non-extendability.
 
     A vertex's signature is its color followed by its neighbor counts per
-    (label, color).  All counts come from one float32 matmul against the
-    stacked label masks, exact because counts are at most n < 2^16 < 2^24.
-    Each signature row is written as big-endian uint16 and ranked as one
-    opaque byte key: bytewise order of big-endian unsigned integers is
-    lexicographic order, so the ranks equal those of a row-wise
-    lexicographic sort.
+    (label, color) for every label but the last.  Off the diagonal, v's
+    neighbors in a cell c over all labels number |c| - [v in c], so when the
+    diagonal value is not an edge label (every `IncidenceGraph` has -1 there)
+    the last label's counts follow from v's color and the other counts; they
+    would be the last block of the signature, so leaving them out changes no
+    rank.  For any other matrix the partition can only come out coarser: it is
+    still isomorphism-invariant, and every bijection is checked entry by entry.
+
+    All counts come from one float32 matmul against the stacked label masks,
+    exact because counts are at most n < 2^16 < 2^24.  Each signature row is
+    written as big-endian uint16 and ranked as one opaque byte key: bytewise
+    order of big-endian unsigned integers is lexicographic order, so the ranks
+    equal those of a row-wise lexicographic sort.
+
+    A search refines the same coloring many times (the domain side of every
+    coset candidate), so `refine` keeps each input coloring's stable
+    refinement, read-only, for the life of the refiner.
     """
 
     def __init__(self, labels: np.ndarray):
@@ -108,15 +122,25 @@ class _Refiner:
         if self.n >= 1 << 16:
             raise ValueError(f"refinement keys hold 16-bit counts; got {self.n} vertices")
         values = sorted(set(labels[np.triu_indices(self.n, 1)].tolist())) if self.n > 1 else []
-        self.n_labels = len(values)
+        self.n_masks = max(len(values) - 1, 0)
         # row l*n + i is vertex i's indicator row for the l-th label value
         self.masks = np.concatenate(
-            [(labels == v).astype(np.float32) for v in values]
+            [(labels == v).astype(np.float32) for v in values[:-1]]
             or [np.zeros((0, self.n), dtype=np.float32)]
         )
+        self.memo: dict[bytes, np.ndarray] = {}
 
     def refine(self, colors: np.ndarray) -> np.ndarray:
-        n, n_labels = self.n, self.n_labels
+        key = colors.tobytes()
+        out = self.memo.get(key)
+        if out is None:
+            out = self._rounds(colors)
+            out.setflags(write=False)
+            self.memo[key] = out
+        return out
+
+    def _rounds(self, colors: np.ndarray) -> np.ndarray:
+        n, n_masks = self.n, self.n_masks
         while True:
             # one count column per color present: the columns of absent ids
             # are zero in every row and leave the row order unchanged
@@ -124,10 +148,10 @@ class _Refiner:
             k = len(present)
             onehot = np.zeros((n, k), dtype=np.float32)
             onehot[np.arange(n), dense] = 1.0
-            counts = (self.masks @ onehot).reshape(n_labels, n, k)
-            sig = np.empty((n, 1 + n_labels * k), dtype=">u2")
+            counts = (self.masks @ onehot).reshape(n_masks, n, k)
+            sig = np.empty((n, 1 + n_masks * k), dtype=">u2")
             sig[:, 0] = colors
-            sig[:, 1:] = counts.transpose(1, 0, 2).reshape(n, n_labels * k)
+            sig[:, 1:] = counts.transpose(1, 0, 2).reshape(n, n_masks * k)
             keys = sig.view(np.dtype((np.void, sig.shape[1] * 2))).ravel()
             _, new = np.unique(keys, return_inverse=True)
             new = new.astype(np.int64)
@@ -192,14 +216,22 @@ def _match_search(
 
 
 def find_isomorphism(a: IncidenceGraph | np.ndarray, b: IncidenceGraph | np.ndarray) -> Permutation | None:
-    """A label-preserving bijection between two edge-labeled graphs, or None."""
+    """A label-preserving bijection between two edge-labeled graphs, or None.
+
+    Raises ValueError for a label matrix that is not square.
+    """
     la = a.labels if isinstance(a, IncidenceGraph) else np.asarray(a)
     lb = b.labels if isinstance(b, IncidenceGraph) else np.asarray(b)
+    for labels in (la, lb):
+        if labels.ndim != 2 or labels.shape[0] != labels.shape[1]:
+            raise ValueError(f"label matrices must be square; got shape {labels.shape}")
     if la.shape != lb.shape:
         return None
     if sorted(set(la.ravel().tolist())) != sorted(set(lb.ravel().tolist())):
         return None
     n = la.shape[0]
+    if n == 0:
+        return ()
     return _match_search(
         _Refiner(la),
         _Refiner(lb),

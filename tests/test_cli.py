@@ -122,6 +122,13 @@ def test_cli_verify_rejects_degrees_outside_1_to_7(degree, capsys):
     assert captured.err == f"verify: degree must be in 1..7, got {degree}\n"
 
 
+def test_cli_verify_rejects_all_with_a_degree(capsys):
+    assert main(["verify", "--all", "-d", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verify: --all and --degree exclude each other\n"
+
+
 def test_cli_surface_end_to_end(tmp_path):
     src = tmp_path / "in.txt"
     src.write_text(

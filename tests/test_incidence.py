@@ -110,6 +110,8 @@ def test_find_isomorphism_on_relabeled_graph():
 
 
 def test_find_isomorphism_on_tiny_graphs():
+    empty = np.zeros((0, 0), dtype=np.int64)
+    assert find_isomorphism(empty, empty) == ()
     assert find_isomorphism(np.array([[-1]]), np.array([[-1]])) == (0,)
     apart = np.array([[-1, 0], [0, -1]])
     assert find_isomorphism(apart, apart) == (0, 1)
@@ -117,6 +119,57 @@ def test_find_isomorphism_on_tiny_graphs():
     path = graph(7).labels
     turned = path[np.ix_((2, 0, 1), (2, 0, 1))]
     assert find_isomorphism(path, turned) == (1, 2, 0)
+
+
+def test_find_isomorphism_rejects_non_square_matrices():
+    wide = np.zeros((2, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"\(2, 3\)"):
+        find_isomorphism(wide, wide)
+
+
+def test_find_isomorphism_with_edge_labels_on_the_diagonal():
+    # The Petersen graph with a diagonal of -1 or 1 by vertex: a 1 there is
+    # counted in the mask of the dropped last label, so the refiner's first
+    # partition is coarser than the all-label reference.  The search must
+    # stay exact, diagonal included.
+    rng = np.random.default_rng(5)
+    labels = graph(5).labels.copy()
+    np.fill_diagonal(labels, rng.choice([-1, 1], size=len(labels)))
+    n = len(labels)
+    uniform = np.zeros(n, dtype=np.int64)
+    assert _Refiner(labels).refine(uniform).max() < _unique_rows_refine(labels, uniform).max()
+    perm = rng.permutation(n)
+    shuffled = labels[np.ix_(perm, perm)]
+    iso = find_isomorphism(shuffled, labels)
+    assert iso is not None and sorted(iso) == list(range(n))
+    assert np.array_equal(labels[np.ix_(iso, iso)], shuffled)
+    flipped = shuffled.copy()
+    flipped[0, 0] = -flipped[0, 0]
+    assert find_isomorphism(flipped, labels) is None
+
+
+def test_automorphism_search_refines_each_coloring_once(monkeypatch):
+    rounds = []
+    uncached = _Refiner._rounds
+
+    def spy(self, colors):
+        rounds.append(colors.tobytes())
+        return uncached(self, colors)
+
+    monkeypatch.setattr(_Refiner, "_rounds", spy)
+    aut = automorphism_group.__wrapped__(graph(1))
+    assert aut.order == AUT_ORDERS[1]
+    # 81 refine calls at 45 distinct colorings
+    assert len(rounds) == len(set(rounds)) == 45
+
+
+def test_refine_returns_read_only_colorings():
+    refiner = _Refiner(graph(3).labels)
+    colors = refiner.refine(np.zeros(27, dtype=np.int64))
+    assert not colors.flags.writeable
+    assert refiner.refine(np.zeros(27, dtype=np.int64)) is colors
+    individualized = refiner.refine(_individualize(colors, 4))
+    assert not individualized.flags.writeable
 
 
 def _unique_rows_refine(labels, colors):
