@@ -131,12 +131,13 @@ class ExperimentConfig:
     samples_per_degree: int = 200
     max_place_degree: int = 3
     max_places: int = 8
-    #: a sample with fewer usable places is reported as skipped
+    #: a sample with fewer usable places is reported as skipped; a config
+    #: with fewer places than this in all is invalid
     min_usable_places: int = 3
     point_budget: int = 300_000
-    # nominal pattern count; the line scan's real cost is ~(field size)^2,
-    # so this reaches fields of order up to 562 (GF(512) for q = 2) at
-    # interactive speed
+    # nominal: the q^(4m) echelon row pairs over GF(q^m); a scan costs about
+    # q^(2m), one pass over a plane, so this reaches fields of order up to
+    # 562 (GF(512) for q = 2) at about 10 ms a scan
     line_budget: int = 10**11
     seed: str = "0"
 
@@ -153,6 +154,11 @@ class ExperimentConfig:
             raise ValueError("point budget too small to count over the base field")
         if self.line_budget < 0:
             raise ValueError("line budget must be >= 0")
+        places = len(places_up_to(field(self.q, 1), self.max_place_degree, self.max_places))
+        if places < self.min_usable_places:
+            raise ValueError(f"{places} places of degree <= {self.max_place_degree} within max_places "
+                             f"{self.max_places}, fewer than min_usable_places {self.min_usable_places}: "
+                             f"every sample would be skipped")
 
     def to_json(self) -> dict:
         return {
@@ -245,7 +251,9 @@ def analyze_sample(
 
 def run_density(config: ExperimentConfig) -> dict:
     """The full experiment; the returned report is deterministic in the
-    config (byte-identical JSON for identical configs)."""
+    config (byte-identical JSON for identical configs).  Raises ValueError
+    for an invalid config, one with fewer places than min_usable_places
+    among them, before any sample runs."""
     config.validate()
     table = build_class_table()
     base = field(config.q, 1)

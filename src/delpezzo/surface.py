@@ -24,6 +24,13 @@ Lines are canonical 2x4 reduced row-echelon matrices.  The line through rows
 A and B lies on the surface when the four coefficients of F(sA + tB) vanish:
 F(A), F(B) and the polars sum_v B_v dF/dv(A), sum_v A_v dF/dv(B), an exact
 identity in every characteristic, so the test is exact over small fields too.
+A scan searches only the plane x0 = 0, which holds every second row B, and
+solves for the first rows: the polar sum_v A_v dF/dv(B) is linear in A, so A
+runs over a point or an affine line A0 + s D; along it the other polar is a
+quadratic in s, whose roots come from one table per field (`_root_table`);
+F(A) is checked at those roots.  A vacuous linear condition expands into q
+line rows and a quadratic that vanishes identically into q point rows, so
+singular and reducible forms are scanned exactly too.
 
 Smoothness is decided exactly, by one rank over F_q (`smoothness_certificate`).
 The surface is singular exactly where F and its four partials have a common
@@ -41,9 +48,9 @@ under field extension, so the test needs no extension field and no budget.
 A `CubicForm` builds each extension, its encoded terms, its moved form and
 its point count once; `count_points` is a view of that count, and an
 extension inherits the base form's moved form, lifted.  A point count over
-GF(q^m) needs q^(3m) within the point budget, though it costs about q^(2m);
-a line scan needs q^(4m) within the line budget and q^m within
-TABLE_FIELD_CAP, the order up to which fields have tables.
+GF(q^m) needs q^(3m) within the point budget, and a line scan q^(4m) within
+the line budget and q^m within TABLE_FIELD_CAP, the order up to which fields
+have tables; both cost about q^(2m), one pass over a plane.
 """
 
 from __future__ import annotations
@@ -163,34 +170,54 @@ class CubicForm:
         return _count_through_point(self.field.tables, self._moved)
 
 
-def _eval_terms_batch(tab, terms: list[tuple[int, tuple[int, ...]]], coords: list) -> np.ndarray:
-    """Evaluate sum of c * prod coords[v]^e_v; each coordinate is an encoded
-    scalar or a 1-D array, all arrays of one length (length 1 if none).
-    The coefficient and the scalar coordinates fold into an offset into EXP
-    (one at the zero sentinel skips the term); the array logs add to it."""
+@lru_cache(maxsize=1024)
+def _term_arrays(forms: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The encoded coefficients and the exponent matrix of the terms of
+    `forms`, and the row at which each form starts, read-only since every
+    caller shares them.  Each form leads with a zero term, so that none is
+    empty."""
+    rows = [term for terms in forms for term in ((0, (0, 0, 0, 0)), *terms)]
+    encodings, exponents = zip(*rows)
+    out = (np.array(encodings, dtype=np.int64), np.array(exponents, dtype=np.int64),
+           np.cumsum([0] + [len(terms) + 1 for terms in forms[:-1]]))
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
+def _eval_forms(tab, forms: tuple, coords: list) -> np.ndarray:
+    """Every form of `forms`, a tuple of term tuples (encoded coefficient,
+    exponents), at the points `coords`, as a (forms, points) array.  Each
+    coordinate is an encoded scalar or a 1-D array, all arrays of one length
+    (length 1 if none).  Every term is one gather EXP[LOG c + sum_v e_v LOG
+    coords[v]], all terms at once on a (terms, points) array of at most
+    SCAN_CHUNK elements, point slice by point slice; a zero factor lands in
+    the zero pad."""
     size = max((len(c) for c in coords if isinstance(c, np.ndarray)), default=1)
-    zero_log = int(tab.LOG[0])
-    logs = [tab.LOG[c] if isinstance(c, np.ndarray) else int(tab.LOG[c]) for c in coords]
-    char2 = tab.COORDS is None
-    acc = np.zeros((size,) if char2 else (size, tab.fs.k), dtype=np.int64)
-    for enc, e in terms:
-        offset = int(tab.LOG[enc])
-        part = 0
-        for log, mult in zip(logs, e):
-            if isinstance(log, int):
-                offset += mult * log
-            elif mult:
-                part = part + (log if mult == 1 else mult * log)
-        if offset >= zero_log:
-            continue
-        term = tab.EXP[offset:][part]
-        if char2:
-            acc ^= term
-        else:
-            acc += tab.COORDS[term]
-    if char2:
-        return acc
-    return (acc % tab.fs.p) @ tab.PPOW
+    encodings, exponents, starts = _term_arrays(forms)
+    step = max(1, SCAN_CHUNK // len(encodings))
+    if size > step:
+        return np.concatenate([_eval_forms(tab, forms, [c[lo:lo + step] if isinstance(c, np.ndarray) else c
+                                                        for c in coords])
+                               for lo in range(0, size, step)], axis=1)
+    logs = np.empty((4, size), dtype=np.int64)
+    for v, c in enumerate(coords):
+        logs[v] = tab.LOG[c]
+    values = tab.EXP[tab.LOG[encodings][:, None] + exponents @ logs]
+    if tab.COORDS is None:
+        return np.bitwise_xor.reduceat(values, starts, axis=0)
+    return (np.add.reduceat(tab.COORDS[values], starts, axis=0) % tab.fs.p) @ tab.PPOW
+
+
+def _eval_terms_batch(tab, terms, coords: list) -> np.ndarray:
+    """The form with the given terms at the points `coords` (`_eval_forms`)."""
+    return _eval_forms(tab, (tuple(terms),), coords)[0]
+
+
+@lru_cache(maxsize=1024)
+def _powers(terms: tuple, axis: int) -> tuple:
+    """The terms of G_0, ..., G_3 in F = sum_k T^k G_k, T the coordinate `axis`."""
+    return tuple(tuple(term for term in terms if term[1][axis] == k) for k in range(4))
 
 
 def _eval_grid(tab, terms, head: list, axis: int, t: np.ndarray) -> np.ndarray:
@@ -198,16 +225,16 @@ def _eval_grid(tab, terms, head: list, axis: int, t: np.ndarray) -> np.ndarray:
     arrays of one length, 1 at `axis`) and a value of coordinate `axis` in
     `t`, as a (rows, len(t)) array.
 
-    F = sum_k T^k G_k, T the axis coordinate: the terms are evaluated on the
-    rows only, and each of the four powers of T costs one gather on the whole
-    grid."""
+    F = sum_k T^k G_k, T the axis coordinate: the G_k are evaluated on the
+    rows only, and each power of T with a nonzero G_k costs one gather on the
+    whole grid."""
     log_t = tab.LOG[t][None, :]
-    acc = np.zeros((1, len(t)), dtype=np.int64)
-    for k in range(4):
-        terms_k = [term for term in terms if term[1][axis] == k]
-        if terms_k:
-            g = _eval_terms_batch(tab, terms_k, head)[:, None]
-            acc = tab.add(acc, g if k == 0 else tab.EXP[tab.LOG[g] + k * log_t])
+    powers = _powers(tuple(terms), axis)
+    g = _eval_forms(tab, powers, head)
+    acc = tab.add(np.zeros((1, len(t)), dtype=np.int64), g[0][:, None])
+    for k in (1, 2, 3):
+        if powers[k]:
+            acc = tab.add(acc, tab.EXP[tab.LOG[g[k]][:, None] + k * log_t])
     return acc
 
 
@@ -295,18 +322,14 @@ def _move(form: CubicForm, point) -> tuple[Element, ...]:
 
 @lru_cache(maxsize=None)
 def _root_table(fs: FieldSpec) -> np.ndarray:
-    """Per encoding c, the roots in the field of t^2 + t = c in
-    characteristic 2 (2 or 0, by the F_2-trace of c), of s^2 = c otherwise
-    (1 at 0, else 2 or 0 by the parity of LOG c)."""
+    """Per encoding c, a root t in the field of t^2 + t = c in characteristic
+    2, of t^2 = c otherwise, and -1 where there is none."""
     tab = fs.tables
-    x = np.arange(fs.order, dtype=np.int64)
-    if tab.COORDS is None:
-        trace, power = x.copy(), x
-        for _ in range(fs.k - 1):
-            power = tab.mul(power, power)
-            trace ^= power
-        return 2 - 2 * trace
-    return np.where(x == 0, 1, 2 - 2 * (tab.LOG[x] % 2))
+    t = np.arange(fs.order, dtype=np.int64)
+    square = tab.mul(t, t)
+    table = np.full(fs.order, -1, dtype=np.int64)
+    table[tab.add(square, t) if tab.COORDS is None else square] = t
+    return table
 
 
 def _root_counts(tab, g0, g1, g2) -> np.ndarray:
@@ -316,13 +339,16 @@ def _root_counts(tab, g0, g1, g2) -> np.ndarray:
     roots = _root_table(tab.fs)
     linear = np.where(g1 != 0, 1, np.where(g0 != 0, 0, q))
     if tab.COORDS is None:
-        # s = (g1 / g2) t turns it into t^2 + t = g0 g2 / g1^2; with g1 = 0
-        # the one root is the square root of g0 / g2
+        # s = (g1 / g2) t turns it into t^2 + t = g0 g2 / g1^2, with 2 roots
+        # or none; with g1 = 0 the one root is the square root of g0 / g2
         inverse_log = (q - 1 - tab.LOG[g1]) % (q - 1)
-        quadratic = np.where(g1 != 0, roots[tab.EXP[tab.LOG[g0] + tab.LOG[g2] + 2 * inverse_log]], 1)
+        counts = np.where(roots >= 0, 2, 0)
+        quadratic = np.where(g1 != 0, counts[tab.EXP[tab.LOG[g0] + tab.LOG[g2] + 2 * inverse_log]], 1)
     else:
+        # 2, 1 or 0 roots as the discriminant is a nonzero square, 0 or neither
+        counts = np.where(roots > 0, 2, roots + 1)
         four_g0_g2 = tab.EXP[int(tab.LOG[tab.fs.scalar(4)]) + tab.LOG[g0] + tab.LOG[g2]]
-        quadratic = roots[tab.add(tab.EXP[2 * tab.LOG[g1]], tab.NEG[four_g0_g2])]
+        quadratic = counts[tab.add(tab.EXP[2 * tab.LOG[g1]], tab.NEG[four_g0_g2])]
     return np.where(g2 != 0, quadratic, linear)
 
 
@@ -348,8 +374,10 @@ def _points_fit(q: int, m: int, budget: int) -> bool:
 
 
 def _lines_fit(q: int, m: int, budget: int) -> bool:
-    """The line gate: a scan over GF(q^m) costs q^(4m) row pairs and needs
-    the field's arithmetic tables."""
+    """The line gate, q^(4m) <= budget: the number of echelon row pairs over
+    GF(q^m), a nominal size that the line budget of reports is pinned to.  A
+    scan costs about q^(2m) evaluations, one pass over the plane x0 = 0, and
+    needs the field's arithmetic tables."""
     return q ** (4 * m) <= budget and q**m <= TABLE_FIELD_CAP
 
 
@@ -401,53 +429,151 @@ class LineInP3:
 def lines_on_surface(
     form: CubicForm, budget: int = DEFAULT_LINE_BUDGET
 ) -> list[LineInP3]:
-    """All lines of P^3(F_q) contained in the surface.
+    """All lines of P^3(F_q) contained in the surface, sorted by (pivots,
+    row1, row2).
 
-    Per RREF pivot pattern, the rows A with F(A) = 0 and B with F(B) = 0
-    survive; the gradient is evaluated once per surviving row, so testing the
-    two polars of a pair costs at most eight products.
+    The second row B of a line with pivots (i, j) is a zero of F in the plane
+    x0 = 0 with lead coordinate j.  One pass over that plane finds them all
+    (at most 3(q + 1) unless x0 divides F: each of the q + 1 lines of the plane
+    through a point off the curve meets it at most three times), and
+    `_lines_through` solves for the first rows of their lines.
     """
     fs = form.field
     q = fs.order
     if not _lines_fit(q, 1, budget):
         raise BudgetExceeded(f"line enumeration over order-{q} field exceeds budget {budget} or the field cap")
-    tab = fs.tables
-    out: list[LineInP3] = []
+    plane = (chunk for lead in (1, 2, 3) for chunk in _grid(q, lead, range(lead + 1, 4)))
+    zeros = _zeros(fs.tables, form.terms, plane)
+    step = _solve_step()
+    out = [line for lo in range(0, len(zeros[0]), step)
+           for line in _lines_through(form, [z[lo:lo + step] for z in zeros])]
+    return sorted(out, key=lambda line: (line.pivots, line.row1, line.row2))
 
-    def polar_logs(rows, columns):
-        return {v: tab.LOG[_eval_terms_batch(tab, form.gradient_terms[v], rows)] for v in columns}
 
-    for i, j in itertools.combinations(range(4), 2):
-        free1 = [k for k in range(i + 1, 4) if k != j]
-        free2 = list(range(j + 1, 4))
-        a = _zeros(tab, form.terms, _grid(q, i, free1))
-        if len(a[0]) == 0:
-            continue
-        b = _zeros(tab, form.terms, _grid(q, j, free2))
-        if len(b[0]) == 0:
-            continue
-        n1, n2 = len(a[0]), len(b[0])
-        # B is 1 at its pivot j, free on free2 and 0 elsewhere, so
-        # sum_v B_v dF/dv(A) needs dF/dv(A) only there; likewise for A
-        da = polar_logs(a, [j] + free2)
-        db = polar_logs(b, [i] + free1)
-        log_a = {v: tab.LOG[a[v]][:, None] for v in free1}
-        log_b = {v: tab.LOG[b[v]][None, :] for v in free2}
-        chunk = max(1, SCAN_CHUNK // n2)
-        for lo in range(0, n1, chunk):
-            rows = slice(lo, lo + chunk)
-            c1 = tab.EXP[da[j][rows]][:, None]
-            for v in free2:
-                c1 = tab.add(c1, tab.EXP[da[v][rows, None] + log_b[v]])
-            c2 = tab.EXP[db[i]][None, :]
-            for v in free1:
-                c2 = tab.add(c2, tab.EXP[log_a[v][rows] + db[v][None, :]])
-            hits = (c1 == 0) & (c2 == 0)
-            out.extend(
-                LineInP3(fs, (i, j), tuple(int(c[lo + r1]) for c in a), tuple(int(c[r2]) for c in b))
-                for r1, r2 in zip(*np.nonzero(hits))
-            )
+def _solve_step() -> int:
+    """Rows per slice of `_lines_through`, whose largest temporary holds the
+    points A0, D and A0 + D of each row: 12 elements a row."""
+    return max(1, SCAN_CHUNK // 12)
+
+
+#: per pivot pair (i, j), the free coordinates of the first row (v > i,
+#: v != j), padded in front with 4, a coordinate that is dropped
+_FREE = np.array([[([4, 4] + [v for v in range(i + 1, 4) if v != j])[-2:] for j in range(4)]
+                  for i in range(3)], dtype=np.int64)
+
+
+def _expand(counts: np.ndarray):
+    """(row, k) for every row and every k < counts[row], row-major, in slices
+    of at most `_solve_step()` pairs (a longer row in a slice of its own);
+    empty slices are skipped."""
+    size = _solve_step()
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    lo = 0
+    while lo < len(counts):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + size, side="right")))
+        rows = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        if len(rows):
+            yield rows, np.arange(starts[lo], ends[hi - 1]) - starts[rows]
+        lo = hi
+
+
+def _lines_through(form: CubicForm, b: list[np.ndarray]) -> list[LineInP3]:
+    """The lines on the surface whose second row is one of the zeros `b`
+    (encoded arrays) of F in the plane x0 = 0, unsorted.
+
+    Per zero B, with lead j, and pivot i < j, the first row is A = e_i + sum
+    a_v e_v over the free coordinates v > i, v != j, and the line lies on X
+    when F(A) = 0 and both polars vanish.  The polar sum_v A_v dF/dv(B) is
+    linear in A.  Solved for its last free coordinate c with a nonzero
+    coefficient, it leaves a point or an affine line A0 + s D.  With no such
+    coordinate it is vacuous or has no solution, and a vacuous one leaves
+    every first row: q line rows A0 + a e_u + s D, one per value a of the
+    first free coordinate u (one row if there is none).  The polar
+    sum_v B_v dF/dv(A0 + s D) is a quadratic in s (`_polar_roots`), and
+    F(A) = 0 is checked at its roots."""
+    fs = form.field
+    tab, q = fs.tables, fs.order
+    lead = np.where(b[1] != 0, 1, np.where(b[2] != 0, 2, 3))
+    ri, rb = np.nonzero(lead > np.arange(3)[:, None])  # the rows (B, i), i < lead
+    rj = lead[rb]
+    # dF/dv(B), and 0 at the dropped coordinate 4
+    g = np.zeros((5, len(lead)), dtype=np.int64)
+    g[:4] = _eval_forms(tab, form.gradient_terms, b)
+    u, w = _FREE[ri, rj].T
+    gi, gu, gw = g[ri, rb], g[u, rb], g[w, rb]
+    c = np.where(gw != 0, w, u)  # solved for; expanded over when vacuous
+    d = np.where(gw != 0, u, w)  # the direction
+    # A0 = e_i + alpha e_c and D = e_d + beta e_c, with alpha = -g_i / g_c
+    # and beta = -g_d / g_c; both are 0 on a vacuous row
+    inverse = (q - 1 - tab.LOG[g[c, rb]]) % (q - 1)
+    alpha = tab.NEG[tab.EXP[tab.LOG[gi] + inverse]]
+    beta = tab.NEG[tab.EXP[tab.LOG[g[d, rb]] + inverse]]
+    solved = (gu != 0) | (gw != 0)
+    count = np.where(solved, 1, np.where(gi != 0, 0, np.where(u < 4, q, 1)))
+    out = []
+    for r, a in _expand(count):
+        cols = np.arange(len(r))
+        a0 = np.zeros((5, len(r)), dtype=np.int64)
+        dd = np.zeros((5, len(r)), dtype=np.int64)
+        a0[ri[r], cols] = 1
+        a0[c[r], cols] = tab.add(alpha[r], a)  # a is 0 on a solved row
+        dd[d[r], cols] = 1
+        dd[c[r], cols] = beta[r]
+        a0, dd = a0[:4], dd[:4]
+        # sum_v B_v dF/dv at A0, D and A0 + D (B_0 = 0): the quadratic in s
+        pts = np.concatenate([a0, dd, tab.add(a0, dd)], axis=1)
+        values = _eval_forms(tab, form.gradient_terms[1:], pts).reshape(3, 3, -1)
+        polar = np.zeros((3, len(r)), dtype=np.int64)
+        for v in (1, 2, 3):
+            polar = tab.add(polar, tab.mul(b[v][rb[r]], values[v - 1]))
+        k0, k2, k02 = polar
+        s1, s2, roots = _polar_roots(tab, k0, tab.add(k02, tab.NEG[tab.add(k0, k2)]), k2, dd.any(axis=0))
+        for r2, k in _expand(roots):
+            s = np.where(k == 0, s1[r2], np.where(k == 1, s2[r2], k))
+            rows = tab.add(a0[:, r2], tab.mul(s, dd[:, r2]))
+            for h in np.flatnonzero(_eval_terms_batch(tab, form.terms, rows) == 0):
+                row = r[r2[h]]
+                out.append(LineInP3(fs, (int(ri[row]), int(rj[row])), tuple(int(x) for x in rows[:, h]),
+                                    tuple(int(z[rb[row]]) for z in b)))
     return out
+
+
+def _polar_roots(tab, k0, k1, k2, line):
+    """Elementwise, the roots s in the field of k0 + k1 s + k2 s^2, as (s1,
+    s2, count), s1 the first of count roots.  Where all three vanish every s
+    is a root: count is the field order on a line row (s1, s2 = 0, 1, and k
+    for the k-th root), 1 on a point row (`line` False)."""
+    fs = tab.fs
+    q = fs.order
+    roots = _root_table(fs)
+    LOG, EXP, NEG = tab.LOG, tab.EXP, tab.NEG
+
+    def over(x, y):
+        # x / y, and x where y = 0
+        return EXP[LOG[x] + (q - 1 - LOG[y]) % (q - 1)]
+
+    if tab.COORDS is None:
+        # s = (k1 / k2) t with t^2 + t = k0 k2 / k1^2; s^2 = k0 / k2 when k1 = 0
+        t = roots[over(tab.mul(k0, k2), tab.mul(k1, k1))]
+        ratio = over(k1, k2)
+        square = over(k0, k2)
+        root = np.where(square == 0, 0, EXP[LOG[square] * (q // 2) % (q - 1)])
+        s1 = np.where(k1 != 0, tab.mul(ratio, np.maximum(t, 0)), root)
+        s2 = tab.add(s1, ratio)
+        quadratic = np.where(k1 == 0, 1, np.where(t >= 0, 2, 0))
+    else:
+        # s = (-k1 +- r) / (2 k2) with r^2 = k1^2 - 4 k0 k2
+        r = roots[tab.add(tab.mul(k1, k1), NEG[EXP[int(LOG[fs.scalar(4)]) + LOG[k0] + LOG[k2]]])]
+        two_k2 = EXP[int(LOG[fs.scalar(2)]) + LOG[k2]]
+        s1 = over(tab.add(NEG[k1], np.maximum(r, 0)), two_k2)
+        s2 = over(tab.add(NEG[k1], NEG[np.maximum(r, 0)]), two_k2)
+        quadratic = np.where(r > 0, 2, r + 1)
+    vanishing = np.where(k0 != 0, 0, np.where(line, q, 1))
+    count = np.where(k2 != 0, quadratic, np.where(k1 != 0, 1, vanishing))
+    s1 = np.where(k2 != 0, s1, np.where(k1 != 0, NEG[over(k0, k1)], 0))
+    s2 = np.where(k2 != 0, s2, 1)
+    return s1, s2, count
 
 
 # -- traces and certificates ---------------------------------------------

@@ -298,6 +298,27 @@ def test_cli_density_bad_config_is_one_line(argv, capsys):
     assert err.startswith("configuration error: ") and "\n" not in err
 
 
+@pytest.mark.parametrize("argv, places, needed", [
+    # F_2 has 2 places of degree 1, and the default needs 3 usable places
+    (["-N", "2", "-D", "1", "--max-place-degree", "1"], 2, 3),
+    (["--max-places", "2", "--min-usable-places", "9"], 2, 9),
+])
+def test_cli_density_with_too_few_places_runs_no_sample(argv, places, needed, capsys, monkeypatch):
+    from delpezzo import experiment
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sample ran although every sample would be skipped")
+
+    monkeypatch.setattr(experiment, "build_class_table", never)
+    monkeypatch.setattr(experiment, "analyze_sample", never)
+    assert main(["density", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith(f"configuration error: {places} places ") and "\n" not in err
+    assert f"fewer than min_usable_places {needed}" in err
+
+
 def test_cli_density_rejects_a_negative_budget(capsys, monkeypatch):
     from delpezzo import experiment
 

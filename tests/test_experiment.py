@@ -190,6 +190,16 @@ def test_invalid_configs_rejected():
         ExperimentConfig(q=2, line_budget=-1).validate()
 
 
+def test_too_few_places_for_a_usable_sample_is_an_invalid_config():
+    # F_2 has 2 places of degree 1 and 5 of degree <= 3
+    with pytest.raises(ValueError, match="2 places of degree <= 1"):
+        run_density(ExperimentConfig(q=2, degree_bounds=(1,), samples_per_degree=1, max_place_degree=1))
+    with pytest.raises(ValueError, match="fewer than min_usable_places 6"):
+        ExperimentConfig(q=2, min_usable_places=6).validate()
+    ExperimentConfig(q=2, min_usable_places=5).validate()
+    ExperimentConfig(q=2, max_place_degree=1, min_usable_places=2).validate()
+
+
 def test_csv_round_trip():
     config = ExperimentConfig(
         q=2, degree_bounds=(1,), samples_per_degree=2, seed="csv", max_places=2,

@@ -33,6 +33,7 @@ from delpezzo.surface import (
     _move,
     _strata,
     NotSmoothOrBadReduction,
+    SCAN_CHUNK,
     SMOOTH_CERTIFIED,
     count_points,
     frobenius_class,
@@ -48,8 +49,9 @@ FIELD_IDS = [repr(fs) for fs in FIELDS]
 
 def seeded_forms(fs):
     """Random forms with many zero coefficients, and structured ones with many
-    lines (three planes, a cone, a plane times a conic) or with vanishing
-    partials (a perfect cube in characteristic 3)."""
+    lines (three planes, a cone, a plane times a conic), with vanishing
+    partials (a perfect cube in characteristic 3) or that take a rare branch
+    of the line solver."""
     rng = random.Random(f"kernels/{fs!r}")
     q = fs.order
     out = []
@@ -69,6 +71,9 @@ def seeded_forms(fs):
     out.append(monomials((1, 1, 1, 0)))  # xyz
     out.append(monomials((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)))  # a cone
     out.append(monomials((2, 0, 0, 1), (0, 1, 1, 1)))  # w (x^2 + yz)
+    # x^2 y + xyw + zw^2: a first row solved along a line on which the other
+    # polar is a quadratic without roots, in each of the fields above
+    out.append(monomials((2, 1, 0, 0), (1, 1, 0, 1), (0, 0, 1, 2)))
     return out
 
 
@@ -317,14 +322,94 @@ def old_lines_on_surface(form):
     return out
 
 
+#: the branches of the line solver (`_lines_through`, `_polar_roots`)
+SOLVER_BRANCHES = {"two roots", "one root", "no root", "linear", "point row",
+                   "vacuous linear expansion", "vanishing quadratic expansion"}
+
+
+def record_solver_branches(monkeypatch, q, taken):
+    """Add to `taken` the name of every solver branch that a scan takes."""
+    polar_roots, expand = surface._polar_roots, surface._expand
+    root_counts = []
+
+    def recording_polar_roots(tab, k0, k1, k2, line):
+        s1, s2, count = polar_roots(tab, k0, k1, k2, line)
+        quadratic = k2 != 0
+        vanishing = (k0 == 0) & (k1 == 0) & ~quadratic
+        for name, mask in (("two roots", quadratic & (count == 2)),
+                           ("one root", quadratic & (count == 1)),
+                           ("no root", quadratic & (count == 0)),
+                           ("linear", ~quadratic & (k1 != 0)),
+                           ("point row", ~line),
+                           ("vanishing quadratic expansion", line & vanishing)):
+            if mask.any():
+                taken.add(name)
+        assert (count[line & vanishing] == q).all() and (count[~line & vanishing] == 1).all()
+        root_counts.append(count)
+        return s1, s2, count
+
+    def recording_expand(counts):
+        # the linear stage's counts are 0, 1 or q (a vacuous condition)
+        if not any(counts is c for c in root_counts) and (counts == q).any():
+            taken.add("vacuous linear expansion")
+        return expand(counts)
+
+    monkeypatch.setattr(surface, "_polar_roots", recording_polar_roots)
+    monkeypatch.setattr(surface, "_expand", recording_expand)
+
+
 @pytest.mark.parametrize("fs", FIELDS, ids=FIELD_IDS)
 def test_lines_on_surface_matches_full_expansion(fs, monkeypatch):
+    # the seeded forms take every branch of the solver, with the default
+    # slices and with slices of one row
+    taken = set()
+    record_solver_branches(monkeypatch, fs.order, taken)
     for form in seeded_forms(fs):
         want = old_lines_on_surface(form)
         assert lines_on_surface(form) == want
         monkeypatch.setattr(surface, "SCAN_CHUNK", 3)
         assert lines_on_surface(form) == want
-        monkeypatch.undo()
+        monkeypatch.setattr(surface, "SCAN_CHUNK", SCAN_CHUNK)
+    assert taken == SOLVER_BRANCHES
+
+
+def frobenius_line(line, q):
+    """The line with every coordinate raised to the q-th power: still in
+    echelon form, since the map fixes 0 and 1."""
+    fs = line.field
+    return LineInP3(fs, line.pivots, tuple(fs.pow(x, q) for x in line.row1),
+                    tuple(fs.pow(x, q) for x in line.row2))
+
+
+@pytest.mark.parametrize("k", [2, 3], ids=["GF(64) from GF(4)", "GF(512) from GF(8)"])
+def test_line_scans_past_the_reference(k):
+    # past the fields of the O(q^4) reference: each line lies on X, the set
+    # is stable under the Frobenius of the base field and holds the base
+    # field's lines, and a smooth surface has at most 27
+    fs = field(2, k)
+    rng = random.Random(f"big line scans/{fs!r}")
+    forms = []
+    while len(forms) < 3:
+        form = CubicForm.from_ints(fs, [rng.randrange(fs.order) if rng.random() < 0.6 else 0 for _ in range(20)])
+        if smoothness_certificate(form).status == SMOOTH_CERTIFIED:
+            forms.append(form)
+    counts = []
+    for form in forms:
+        ext = form.extend(3)
+        big = ext.field
+        lines = lines_on_surface(ext, budget=big.order**4)
+        counts.append(len(lines))
+        assert len(lines) <= 27 and len(set(lines)) == len(lines)
+        for line in lines:
+            # F(A + tB) is a cubic in t: zero at 4 points, it has no nonzero coefficient
+            for t in range(4):
+                point = [big.add(a, big.mul(t, b)) for a, b in zip(line.row1, line.row2)]
+                assert slow_value(ext, point) == 0
+        assert {frobenius_line(line, fs.order) for line in lines} == set(lines)
+        lift = embed(fs, big)
+        for line in lines_on_surface(form):
+            assert LineInP3(big, line.pivots, tuple(map(lift, line.row1)), tuple(map(lift, line.row2))) in lines
+    assert max(counts) > 0
 
 
 def test_line_scan_stays_small():
