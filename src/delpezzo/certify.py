@@ -271,16 +271,16 @@ def build_class_table() -> ClassTable:
     reps, sizes = zip(*w.conjugacy_classes())
     sizes = np.array(sizes)
     types = [cycle_type(rep) for rep in reps]
-    determinants = [round(np.linalg.det(lattice_matrix(rep))) for rep in reps]
+    lifts = [root_lattice_matrix(rep) for rep in reps]
+    polys = [charpoly(a6) for a6 in lifts]
     by_order = sorted(range(len(reps)), key=lambda i: (math.lcm(*types[i]), types[i], reps[i]))
     rows = []
     for class_id, i in enumerate(by_order):
         rep, ct = reps[i], types[i]
-        a6 = root_lattice_matrix(rep)
         traces = []
         power = np.eye(6, dtype=np.int64)
         for _ in range(TRACE_DEPTH):
-            power = power @ a6
+            power = power @ lifts[i]
             traces.append(int(power.trace()))
         rows.append(
             ClassRow(
@@ -289,7 +289,7 @@ def build_class_table() -> ClassTable:
                 cycle_type=ct,
                 element_order=math.lcm(*ct),
                 class_size=int(sizes[i]),
-                char_poly=charpoly(a6),
+                char_poly=polys[i],
                 lattice_traces=tuple(traces),
                 fixed_lines=tuple(fixed_points_of_power(ct, m) for m in range(1, TRACE_DEPTH + 1)),
             )
@@ -315,7 +315,8 @@ def build_class_table() -> ClassTable:
     parts = [[frozenset({p}) for p in b] for b in nines]
     fixed["TripleNineComponentwiseStab"] = (
         len(nines), [sum(all(image(g, p) == p for p in ps) for ps in parts) for g in reps])
-    fixed["EvenSubgroup"] = (1, [int(det == 1) for det in determinants])  # the orientation
+    # the orientation: K is fixed, so det is the rank-6 char poly's last term
+    fixed["EvenSubgroup"] = (1, [int(poly[-1] == 1) for poly in polys])
     subgroups = {}
     for name in SUBGROUP_NAMES:
         size, fix = fixed[name]

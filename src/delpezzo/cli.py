@@ -32,7 +32,6 @@ from .experiment import (
 )
 from .gf import TABLE_FIELD_CAP, FieldSizeError, UniPoly, field, is_prime
 from .surface import (
-    BudgetExceeded,
     CubicForm,
     SMOOTH_CERTIFIED,
     NotSmoothOrBadReduction,
@@ -97,7 +96,8 @@ def read_surface_file(path: str):
             try:
                 out.append((lineno, *parse_surface_line(line)))
             except ValueError as exc:
-                raise SurfaceFileError(f"{path}:{lineno}: {exc}") from exc
+                kind = FieldSizeError if isinstance(exc, FieldSizeError) else SurfaceFileError
+                raise kind(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
@@ -140,7 +140,7 @@ def _surface_report(form: CubicForm, verdict, ev, table, args) -> dict:
     verdict and its Frobenius evidence (None unless smooth)."""
     report = {
         "field": {"p": form.field.p, "k": form.field.k},
-        "coefficients": form.coefficient_encodings(),
+        "coefficients": list(form.coeffs),
         "smoothness": verdict.to_json(),
         "rational_lines": None,
         "table_hash": table.content_hash,
@@ -196,13 +196,12 @@ def cmd_surface(args) -> int:
     except SurfaceFileError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    # the field each line needs tables for; q^s > TABLE_FIELD_CAP for every
-    # q >= 2 once s passes the cap's bit length
+    # the places' GF(q^s); q^s > TABLE_FIELD_CAP once s passes the cap's bit length
     s = min(args.max_place_degree, TABLE_FIELD_CAP.bit_length())
-    orders = [form.field.order if kind == "finite-field" else form.base.order**s for _, kind, form in surfaces]
+    orders = [form.base.order**s for _, kind, form in surfaces if kind == "function-field"]
     if s < 1 or max(orders, default=1) > TABLE_FIELD_CAP:
         print(f"surface: --max-place-degree must be >= 1, and there are no arithmetic tables above "
-              f"order {TABLE_FIELD_CAP} for a surface's GF(q) or its places' GF(q^s)", file=sys.stderr)
+              f"order {TABLE_FIELD_CAP} for a surface's places' GF(q^s)", file=sys.stderr)
         return 2
     table = build_class_table()
     reports = []
@@ -325,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (BudgetExceeded, FieldSizeError, OSError) as exc:
+    except (FieldSizeError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -253,7 +253,7 @@ def run_density(config: ExperimentConfig) -> dict:
     """The full experiment; the returned report is deterministic in the
     config (byte-identical JSON for identical configs).  Raises ValueError
     for an invalid config, one with fewer places than min_usable_places
-    among them, before any sample runs."""
+    among them or with a place above the table cap, before any sample runs."""
     config.validate()
     table = build_class_table()
     base = field(config.q, 1)

@@ -9,7 +9,8 @@ which fixes a deterministic total order on each field.
 
 Sums are digit-wise (XOR in characteristic 2).  Products, powers and inverses
 read the field's log/exp tables (`FieldSpec.tables`, built on first use from
-the least primitive element, up to order TABLE_FIELD_CAP); the same tables
+the least primitive element), which every field has: `field` and
+`monic_irreducibles` refuse orders above TABLE_FIELD_CAP.  The same tables
 serve the vectorized kernels of `surface`.
 
 Polynomial arithmetic is one layer over the prime field, on digit lists with
@@ -35,13 +36,12 @@ import numpy as np
 
 Element = int
 
-DEFAULT_FIELD_SIZE_CAP = 2**20
-#: the largest field with arithmetic tables (EXP holds about 17 q entries)
+#: the largest field, which has arithmetic tables (EXP holds about 17 q entries)
 TABLE_FIELD_CAP = 2**16
 
 
 class FieldSizeError(ValueError):
-    """Requested field or enumeration exceeds the configured size cap."""
+    """A field or a place of order above TABLE_FIELD_CAP was requested."""
 
 
 def is_prime(n: int) -> bool:
@@ -170,8 +170,6 @@ class _Tables:
     encoding and PPOW the powers of p that fold digits back into encodings."""
 
     def __init__(self, fs: FieldSpec):
-        if fs.order > TABLE_FIELD_CAP:
-            raise FieldSizeError(f"no arithmetic tables above order {TABLE_FIELD_CAP}")
         self.fs = fs
         q, p = fs.order, fs.p
         modulus = list(fs.modulus)
@@ -309,8 +307,8 @@ def field(p: int, k: int = 1) -> FieldSpec:
         raise ValueError(f"{p} is not prime; build extensions as field(p, k)")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**k > DEFAULT_FIELD_SIZE_CAP:
-        raise FieldSizeError(f"field of order {p}^{k} exceeds the cap {DEFAULT_FIELD_SIZE_CAP}")
+    if p**k > TABLE_FIELD_CAP:
+        raise FieldSizeError(f"GF({p}^{k}): no arithmetic tables above order {TABLE_FIELD_CAP}")
     return FieldSpec(p, k, tuple(next(_irreducible_digits(p, k))))
 
 
@@ -384,6 +382,6 @@ def monic_irreducibles(fs: FieldSpec, degree: int) -> list[UniPoly]:
     counter order (the finite places of that degree of F_p(u))."""
     if fs.k != 1:
         raise ValueError(f"places are taken over a prime field, not {fs!r}")
-    if fs.p**degree > DEFAULT_FIELD_SIZE_CAP:
-        raise FieldSizeError(f"{fs.p}^{degree} polynomials exceed the cap {DEFAULT_FIELD_SIZE_CAP}")
+    if fs.p**degree > TABLE_FIELD_CAP:
+        raise FieldSizeError(f"places of degree {degree} lie in GF({fs.p}^{degree}), above order {TABLE_FIELD_CAP}")
     return [UniPoly(fs, tuple(c)) for c in _irreducible_digits(fs.p, degree)]

@@ -47,10 +47,12 @@ under field extension, so the test needs no extension field and no budget.
 
 A `CubicForm` builds each extension, its encoded terms, its moved form and
 its point count once; `count_points` is a view of that count, and an
-extension inherits the base form's moved form, lifted.  A point count over
-GF(q^m) needs q^(3m) within the point budget, and a line scan q^(4m) within
-the line budget and q^m within TABLE_FIELD_CAP, the order up to which fields
-have tables; both cost about q^(2m), one pass over a plane.
+extension inherits the base form's moved form, lifted.  `trace_sequence`,
+`frobenius_class` and `singular_point` choose the levels m they measure with
+one gate (`_fits`): GF(q^m) exists, q^m <= TABLE_FIELD_CAP, and q^(dim m) is
+within the budget, dim 3 for a point count (the size of P^3) and 4 for a
+line scan (the echelon row pairs); both cost about q^(2m), one pass over a
+plane.
 """
 
 from __future__ import annotations
@@ -77,16 +79,10 @@ MONOMIALS = _monomials(3)
 #: permissive default work budgets; drivers usually pass something smaller
 DEFAULT_POINT_BUDGET = 10**9
 DEFAULT_LINE_BUDGET = 10**8
-#: extension levels `frobenius_class` gathers evidence over, at most
-FROBENIUS_DEPTH = 12
 
 
 class NotSmoothOrBadReduction(RuntimeError):
     """Counting data inconsistent with a smooth cubic surface."""
-
-
-class BudgetExceeded(RuntimeError):
-    """The operation would overrun the configured work budget."""
 
 
 # -- the surface --------------------------------------------------------------
@@ -115,9 +111,6 @@ class CubicForm:
         """x^3 + y^3 + z^3 + w^3."""
         cubes = [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]
         return CubicForm(fs, tuple(int(e in cubes) for e in MONOMIALS))
-
-    def coefficient_encodings(self) -> list[int]:
-        return list(self.coeffs)
 
     def extend(self, m: int) -> "CubicForm":
         """The same form over GF(q^m), built once per form and m."""
@@ -366,27 +359,16 @@ def _count_through_point(tab, moved) -> int:
     return count
 
 
-def _points_fit(q: int, m: int, budget: int) -> bool:
-    """The point gate, q^(3m) <= budget: the size of P^3(GF(q^m)), which the
-    trace depth of reports is pinned to.  A count from the lines through a
-    rational point costs about q^(2m) evaluations."""
-    return q ** (3 * m) <= budget
+def _fits(q: int, m: int, dim: int, budget: int) -> bool:
+    """The level gate: GF(q^m) exists (it has tables) and q^(dim m) <= budget,
+    a nominal size that the depth of reports is pinned to: P^3(GF(q^m)) for a
+    point count (dim 3), the echelon row pairs for a line scan (dim 4)."""
+    return q ** (dim * m) <= budget and q**m <= TABLE_FIELD_CAP
 
 
-def _lines_fit(q: int, m: int, budget: int) -> bool:
-    """The line gate, q^(4m) <= budget: the number of echelon row pairs over
-    GF(q^m), a nominal size that the line budget of reports is pinned to.  A
-    scan costs about q^(2m) evaluations, one pass over the plane x0 = 0, and
-    needs the field's arithmetic tables."""
-    return q ** (4 * m) <= budget and q**m <= TABLE_FIELD_CAP
-
-
-def count_points(form: CubicForm, budget: int = DEFAULT_POINT_BUDGET) -> int:
+def count_points(form: CubicForm) -> int:
     """|{P in P^3(F_q) : F(P) = 0}|, the form's count from the lines through
     its rational point."""
-    q = form.field.order
-    if not _points_fit(q, 1, budget):
-        raise BudgetExceeded(f"point count over order-{q} field exceeds budget {budget}")
     return form._point_count
 
 
@@ -399,7 +381,7 @@ def singular_point(
     replaced: one scan of the surface's points per extension."""
     q = form.field.order
     for m in range(1, max_extension + 1):
-        if not _points_fit(q, m, budget):
+        if not _fits(q, m, 3, budget):
             break
         ext = form.extend(m)
         tab = ext.field.tables
@@ -426,9 +408,7 @@ class LineInP3:
     row2: tuple[int, int, int, int]
 
 
-def lines_on_surface(
-    form: CubicForm, budget: int = DEFAULT_LINE_BUDGET
-) -> list[LineInP3]:
+def lines_on_surface(form: CubicForm) -> list[LineInP3]:
     """All lines of P^3(F_q) contained in the surface, sorted by (pivots,
     row1, row2).
 
@@ -440,8 +420,6 @@ def lines_on_surface(
     """
     fs = form.field
     q = fs.order
-    if not _lines_fit(q, 1, budget):
-        raise BudgetExceeded(f"line enumeration over order-{q} field exceeds budget {budget} or the field cap")
     plane = (chunk for lead in (1, 2, 3) for chunk in _grid(q, lead, range(lead + 1, 4)))
     zeros = _zeros(fs.tables, form.terms, plane)
     step = _solve_step()
@@ -592,13 +570,13 @@ def trace_sequence(
     form: CubicForm, m_max: int, budget: int = DEFAULT_POINT_BUDGET
 ) -> tuple[int, ...]:
     """t_m = (#X(F_{q^m}) - q^{2m} - 1) / q^m for m = 1..m_max, stopping
-    before the first m whose point count exceeds the budget."""
+    before the first m that the point gate (`_fits`) refuses."""
     q = form.field.order
     values = []
     for m in range(1, m_max + 1):
-        if not _points_fit(q, m, budget):
+        if not _fits(q, m, 3, budget):
             break
-        values.append(_weil_trace(count_points(form.extend(m), budget=budget), q, m))
+        values.append(_weil_trace(count_points(form.extend(m)), q, m))
     return tuple(values)
 
 
@@ -734,13 +712,13 @@ def frobenius_class(
     counts: dict[int, int] = {}
     traces: dict[int, int] = {}
     candidates = _matching_classes(class_table, counts, traces)
-    for m in range(1, FROBENIUS_DEPTH + 1):
+    for m in range(1, len(class_table.rows[0].lattice_traces) + 1):
         if len(candidates) == 1:
             break
-        if _lines_fit(q, m, line_budget):
-            counts[m] = len(lines_on_surface(form.extend(m), budget=line_budget))
-        if _points_fit(q, m, point_budget):
-            traces[m] = _weil_trace(count_points(form.extend(m), budget=point_budget), q, m)
+        if _fits(q, m, 4, line_budget):
+            counts[m] = len(lines_on_surface(form.extend(m)))
+        if _fits(q, m, 3, point_budget):
+            traces[m] = _weil_trace(count_points(form.extend(m)), q, m)
         candidates = _matching_classes(class_table, counts, traces)
         if not candidates:
             raise NotSmoothOrBadReduction("no conjugacy class matches the evidence")

@@ -186,7 +186,7 @@ def test_criterion_6_lefschetz_consistency():
         point_budget = count_budgets[q]
         m = 1
         while q ** (3 * m) <= point_budget:
-            count = count_points(form.extend(m), budget=point_budget)
+            count = count_points(form.extend(m))
             qm = q**m
             s_m = row.lattice_traces[m - 1]
             assert count == qm * qm + qm * (1 + s_m) + 1, (q, coeffs, m)

@@ -319,6 +319,24 @@ def test_cli_density_with_too_few_places_runs_no_sample(argv, places, needed, ca
     assert f"fewer than min_usable_places {needed}" in err
 
 
+def test_cli_density_places_without_tables_is_a_config_error(capsys, monkeypatch):
+    # 300 places of F_257(u) need places of degree 2, in GF(257^2), which
+    # is above the table cap
+    from delpezzo import experiment
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sample ran although its places lie in a field without tables")
+
+    monkeypatch.setattr(experiment, "build_class_table", never)
+    monkeypatch.setattr(experiment, "analyze_sample", never)
+    assert main(["density", "-q", "257", "-N", "1", "-D", "1", "--max-places", "300",
+                 "--max-place-degree", "2", "--budget-points", str(10**8)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("configuration error: ") and "above order 65536" in err and "\n" not in err
+
+
 def test_cli_density_rejects_a_negative_budget(capsys, monkeypatch):
     from delpezzo import experiment
 
@@ -368,8 +386,21 @@ def test_cli_surface_budget_exceeded_is_one_line(tmp_path, capsys):
     assert "\n" not in err and "above order" in err and "Traceback" not in err
 
 
+def test_cli_surface_point_budget_past_the_table_cap_stops_at_the_cap(tmp_path):
+    # 257^6 <= 10^15, but GF(257^2) is above the cap: the traces stop
+    # quietly at m = 1, as the line counts do
+    src = tmp_path / "fermat257.txt"
+    src.write_text(f"257 1 : {FERMAT}\n")
+    out = tmp_path / "report.json"
+    assert main(["surface", str(src), "--json", str(out), "--budget-points", str(10**15)]) == 0
+    surface = json.loads(out.read_text())["surfaces"][0]
+    assert surface["traces"] == [1]
+    assert surface["frobenius"]["class_ids"] == [3]
+    assert surface["rational_lines"] == 3
+
+
 def test_cli_surface_beyond_the_table_cap_is_one_line(tmp_path, capsys, monkeypatch):
-    # smoothness is one rank over GF(2^17), a field without tables; the
+    # GF(2^17) is above the table cap, so no field of that order exists; the
     # input is refused before the class table or any earlier line
     from delpezzo import cli
 
@@ -407,8 +438,8 @@ def test_cli_field_size_error_is_one_line(tmp_path, capsys, monkeypatch):
     from delpezzo.gf import FieldSizeError
 
     def too_big(path):
-        raise FieldSizeError("field of order 2^21 exceeds the cap 1048576")
+        raise FieldSizeError("GF(2^17): no arithmetic tables above order 65536")
 
     monkeypatch.setattr(cli, "read_surface_file", too_big)
     assert main(["surface", str(tmp_path / "any.txt")]) == 2
-    assert capsys.readouterr().err == "surface: field of order 2^21 exceeds the cap 1048576\n"
+    assert capsys.readouterr().err == "surface: GF(2^17): no arithmetic tables above order 65536\n"

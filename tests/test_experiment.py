@@ -74,7 +74,7 @@ def test_specialize_constant_coefficients_is_identity():
     place_u = places_up_to(F2, 1)[0]  # the place u
     special = specialize(form, place_u)
     assert special.field.order == 2
-    assert special.coefficient_encodings() == fermat
+    assert list(special.coeffs) == fermat
 
 
 def test_specialize_kills_coefficient_u_at_place_u():
@@ -82,7 +82,7 @@ def test_specialize_kills_coefficient_u_at_place_u():
     form = FunctionFieldCubic(F2, tuple(coeffs))
     place_u = places_up_to(F2, 1)[0]
     special = specialize(form, place_u)
-    assert special.coefficient_encodings()[0] == 0
+    assert special.coeffs[0] == 0
 
 
 def test_specialize_zero_form_is_bad_place():

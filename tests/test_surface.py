@@ -7,10 +7,9 @@ from test_surface_kernels import slow_eval
 
 from delpezzo.certify import build_class_table
 from delpezzo import surface
-from delpezzo.gf import FieldSizeError, field
+from delpezzo.gf import field
 from delpezzo.surface import (
     MONOMIALS,
-    BudgetExceeded,
     CubicForm,
     NOT_SMOOTH,
     SMOOTH_CERTIFIED,
@@ -84,25 +83,14 @@ def test_count_points_matches_brute_force_random_forms():
             assert count_points(form) == brute
 
 
-def test_count_points_budget():
-    with pytest.raises(BudgetExceeded):
-        count_points(CubicForm.fermat(F7), budget=10)
-
-
-def test_line_budget_is_q_to_the_fourth():
-    # the line gate is q^4 <= budget, as for the callers that skip a level
-    with pytest.raises(BudgetExceeded):
-        lines_on_surface(CubicForm.fermat(F7), budget=2400)
-    assert len(lines_on_surface(CubicForm.fermat(F7), budget=2401)) == 27
-
-
-def test_line_gate_stops_at_the_table_cap():
-    # one cap: the line gate refuses fields without tables, and the exact
-    # smoothness test, which needs the tables, raises above the cap
-    assert surface._lines_fit(2, 16, 10**100)
-    assert not surface._lines_fit(2, 17, 10**100)
-    with pytest.raises(FieldSizeError, match="above order"):
-        smoothness_certificate(CubicForm.fermat(field(2, 17)))
+def test_one_level_gate_for_points_and_lines():
+    # q^(dim m) <= budget: 7^4 row pairs for a line scan over GF(7), 7^3
+    # points for a count; both dims stop at the table cap, where fields end
+    assert surface._fits(7, 1, 4, 2401) and not surface._fits(7, 1, 4, 2400)
+    assert surface._fits(7, 1, 3, 343) and not surface._fits(7, 1, 3, 342)
+    for dim in (3, 4):
+        assert surface._fits(2, 16, dim, 10**100)
+        assert not surface._fits(2, 17, dim, 10**100)
 
 
 def test_fermat_lines():

@@ -252,11 +252,10 @@ def test_point_count_stays_small():
     fs = field(2, 9)
     rng = random.Random("point count memory")
     coeffs = [rng.randrange(fs.order) for _ in range(20)]
-    budget = fs.order**3
-    want = count_points(CubicForm.from_ints(fs, coeffs), budget=budget)  # builds the tables
+    want = count_points(CubicForm.from_ints(fs, coeffs))  # builds the tables
     tracemalloc.start()
     try:
-        assert count_points(CubicForm.from_ints(fs, coeffs), budget=budget) == want
+        assert count_points(CubicForm.from_ints(fs, coeffs)) == want
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -397,7 +396,7 @@ def test_line_scans_past_the_reference(k):
     for form in forms:
         ext = form.extend(3)
         big = ext.field
-        lines = lines_on_surface(ext, budget=big.order**4)
+        lines = lines_on_surface(ext)
         counts.append(len(lines))
         assert len(lines) <= 27 and len(set(lines)) == len(lines)
         for line in lines:
@@ -418,10 +417,10 @@ def test_line_scan_stays_small():
     rng = random.Random("line scan memory")
     form = CubicForm.from_ints(fs, [rng.randrange(fs.order) for _ in range(20)])
     assert smoothness_certificate(form).status == SMOOTH_CERTIFIED
-    lines = lines_on_surface(form, budget=fs.order**4)  # builds the field tables
+    lines = lines_on_surface(form)  # builds the field tables
     tracemalloc.start()
     try:
-        assert lines_on_surface(form, budget=fs.order**4) == lines
+        assert lines_on_surface(form) == lines
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
