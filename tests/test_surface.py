@@ -7,7 +7,7 @@ from test_surface_kernels import slow_eval
 
 from delpezzo.certify import build_class_table
 from delpezzo import surface
-from delpezzo.gf import field
+from delpezzo.gf import FieldSizeError, field
 from delpezzo.surface import (
     MONOMIALS,
     CubicForm,
@@ -83,14 +83,31 @@ def test_count_points_matches_brute_force_random_forms():
             assert count_points(form) == brute
 
 
-def test_one_level_gate_for_points_and_lines():
-    # q^(dim m) <= budget: 7^4 row pairs for a line scan over GF(7), 7^3
-    # points for a count; both dims stop at the table cap, where fields end
-    assert surface._fits(7, 1, 4, 2401) and not surface._fits(7, 1, 4, 2400)
+def test_count_points_budget():
+    # the point gate is q^3 <= budget: 343 points of P^3(GF(7)) per count
     assert surface._fits(7, 1, 3, 343) and not surface._fits(7, 1, 3, 342)
+    fermat = CubicForm.fermat(F7)
+    assert trace_sequence(fermat, 2, budget=10) == ()
+    assert trace_sequence(fermat, 2, budget=342) == ()
+    assert len(trace_sequence(fermat, 2, budget=343)) == 1
+
+
+def test_line_budget_is_q_to_the_fourth():
+    # the line gate is q^4 <= budget: 7^4 row pairs for a scan over GF(7)
+    assert surface._fits(7, 1, 4, 2401) and not surface._fits(7, 1, 4, 2400)
+    table = build_class_table()
+    fermat = CubicForm.fermat(F7)
+    assert frobenius_class(fermat, table, point_budget=0, line_budget=2400).line_counts == {}
+    assert frobenius_class(fermat, table, point_budget=0, line_budget=2401).line_counts == {1: 27}
+
+
+def test_line_gate_stops_at_the_table_cap():
+    # one cap for both gates: fields end where the tables end
     for dim in (3, 4):
         assert surface._fits(2, 16, dim, 10**100)
         assert not surface._fits(2, 17, dim, 10**100)
+    with pytest.raises(FieldSizeError, match="above order"):
+        field(2, 17)
 
 
 def test_fermat_lines():
