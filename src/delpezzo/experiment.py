@@ -150,11 +150,12 @@ class ExperimentConfig:
             raise ValueError("degree bounds must be >= 0")
         if self.min_usable_places < 1:
             raise ValueError("min_usable_places must be >= 1")
+        base = field(self.q, 1)  # a field without tables is the first fault to name
         if self.point_budget < self.q**3:
             raise ValueError("point budget too small to count over the base field")
         if self.line_budget < 0:
             raise ValueError("line budget must be >= 0")
-        places = len(places_up_to(field(self.q, 1), self.max_place_degree, self.max_places))
+        places = len(places_up_to(base, self.max_place_degree, self.max_places))
         if places < self.min_usable_places:
             raise ValueError(f"{places} places of degree <= {self.max_place_degree} within max_places "
                              f"{self.max_places}, fewer than min_usable_places {self.min_usable_places}: "

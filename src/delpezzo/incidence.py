@@ -77,14 +77,18 @@ def incidence_graph(ctx: DegreeContext) -> IncidenceGraph:
 @lru_cache(maxsize=None)
 def weyl_image(ctx: DegreeContext) -> PermutationGroup:
     """The group generated by the simple-root reflections acting on the
-    canonical class list."""
-    cls = exceptional_classes(ctx)
-    index = {c: i for i, c in enumerate(cls)}
-    gens = [
-        tuple(index[reflect(ctx, root, c)] for c in cls)
-        for root in simple_roots(ctx)
-    ]
-    return PermutationGroup(len(cls), gens)
+    canonical class list: v + (v.alpha) alpha for every class v and simple
+    root alpha by one integer product, each image found by its packed key
+    among the sorted classes (coordinates are small, so base-64 digits offset
+    by 32 keep the lexicographic order)."""
+    cls, alphas = exceptional_classes(ctx), simple_roots(ctx)
+    v = np.array(cls)
+    images = v[None] + _pairings(alphas, cls)[:, :, None] * np.array(alphas)[:, None]
+    weights = 64 ** np.arange(ctx.rank - 1, -1, -1, dtype=np.int64)
+    keys, image_keys = (v + 32) @ weights, (images + 32) @ weights
+    found = np.searchsorted(keys, image_keys)
+    assert np.array_equal(keys.take(found, mode="clip"), image_keys), "a reflection left the classes"
+    return PermutationGroup(len(cls), [tuple(g) for g in found.tolist()])
 
 
 # -- automorphism search ----------------------------------------------------

@@ -19,12 +19,18 @@ Groups here act on at most 240 points with order at most |W(E8)| ~ 7e8,
 well inside deterministic reach; full element enumeration is capped.
 `elements()` walks the transversals lazily; `element_array()` builds the
 same rows as one order x degree uint8 array, one gather per stabilizer level.
-Conjugacy classes are computed on those rows, sorted: conjugation by each
-generator is one `bytes.translate` and one column gather of all rows, each
+Conjugacy classes are computed on those rows, a few thousand at a time.  The
+conjugators are a few elements that generate the group, checked by
+Schreier-Sims: the product of the generators, then each generator while the
+chain of those taken is smaller than the group (3 of the 6 for W(E6)).
+Conjugating a chunk is one `bytes.translate` and one column gather; each
 conjugate is found by sifting its base images down the stabilizer chain (one
-gather per level, the inverse of `element_array`), and min-label propagation
-with pointer jumping labels each element by the row of the lexicographically
-least member of its class.
+gather per level, the inverse of `element_array`) and checked in full.  The
+columns up to the last base point determine an element, so their big-endian
+words rank the rows lexicographically without a sorted copy of the group.
+Min-label propagation with pointer jumping then labels each element by the
+rank of the least member of its class.  For W(E6) the rows take 1.4 MB and
+the whole computation a traced peak of about 5 MB.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ Permutation = tuple[int, ...]
 CycleType = tuple[int, ...]
 
 DEFAULT_ENUMERATION_CAP = 10**7
+#: rows conjugated and sifted at a time by `conjugacy_classes`
+_CHUNK = 4096
 
 #: the length of a permutation inside a group (see above), hence the degree cap
 MAX_DEGREE = 256
@@ -270,20 +278,40 @@ class PermutationGroup:
         for lvl in self._levels:
             reps = np.array([lvl.rep(x, n) for x in sorted(lvl.transversal)], dtype=np.intp)
             # compose(u, right)[j] = right[u[j]], with the earlier levels outermost
-            rows = rows[:, reps].reshape(-1, n)
+            rows = np.take(rows, reps, axis=1).reshape(-1, n)
         return rows
 
-    def class_labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """(elements, labels): every element as a uint8 row, sorted
-        lexicographically (as big-endian words), and for each row the row index
-        of the least member of its class.  A conjugate's row is found by sifting
-        its base images down the chain (see above) and then checked in full."""
+    def _conjugators(self) -> list[bytes]:
+        """A few elements that generate the group: the product of the
+        generators, then each generator that the chain of those before it
+        does not contain, until that chain reaches the group's order."""
+        product = _ID
+        for g in self.generators:
+            product = product.translate(_encode(g))
+        chain, out = PermutationGroup(self.degree, ()), []
+        for g in (product, *map(_encode, self.generators)):
+            if chain._sift(g, 0)[0] != _ID:
+                chain._add(g, 0)
+                out.append(g)
+                if math.prod(len(lvl.transversal) for lvl in chain._levels) == self.order:
+                    break
+        return out
+
+    def conjugacy_classes(self) -> list[tuple[Permutation, int]]:
+        """(representative, class size) pairs: representatives are the
+        lexicographically least class members, classes sorted by
+        representative."""
         el = self.element_array()
         order, n = el.shape
-        words = np.pad(el, ((0, 0), (0, -n % 8))).view(">u8")  # byte order = word order
-        by_row = np.lexsort(words.T[::-1])
-        el, rank = el.take(by_row, axis=0), np.empty(order, dtype=np.intp)
-        rank[by_row] = np.arange(order)
+        # the columns up to the last base point determine an element, so their
+        # big-endian words sort the rows lexicographically
+        span = max(self.base, default=-1) + 1
+        words = np.zeros((order, max(1, -(-span // 8))), dtype=">u8")  # lexsort needs a key
+        words.view(np.uint8)[:, :span] = el[:, :span]
+        by_rank = np.lexsort(words.T[::-1])
+        del words
+        rank = np.empty(order, dtype=np.intp)
+        rank[by_rank] = np.arange(order)
         sift = []  # per level: each point's place in the sorted orbit, the inverse reps
         for lvl in self._levels:
             points = sorted(lvl.transversal)
@@ -291,20 +319,25 @@ class PermutationGroup:
             place[points] = np.arange(len(points))
             inv = np.frombuffer(b"".join(_inv(lvl.transversal[x]) for x in points), np.uint8)
             sift.append((len(points), place, inv.astype(np.intp)))
-        rows, neighbours = el.tobytes(), []
-        for g in self.generators:
-            conj = np.frombuffer(rows.translate(_encode(g)), np.uint8).reshape(order, n)
-            conj = conj[:, inverse(g)]  # g^-1 y g for every element y
-            images = conj.T[list(self.base)].astype(np.intp)  # widened before arithmetic
-            found = np.zeros(order, dtype=np.intp)
-            for i, (size, place, inv) in enumerate(sift):
-                at = place[images[i]]
-                assert at.min() >= 0, "conjugate outside the group"
-                found = found * size + at
-                images[i + 1:] = inv[images[i + 1:] + at * MAX_DEGREE]
-            found = rank[found]
-            assert np.array_equal(el.take(found, axis=0), conj), "conjugate outside the group"
-            neighbours.append(found)
+        base, neighbours = list(self.base), []
+        for g in self._conjugators():
+            g_inv, nb = list(_inv(g)[:n]), np.empty(order, dtype=np.intp)
+            for start in range(0, order, _CHUNK):
+                rows = el[start:start + _CHUNK]
+                conj = np.frombuffer(rows.tobytes().translate(g), np.uint8).reshape(-1, n)
+                conj = conj[:, g_inv]  # g^-1 y g for every element y of the chunk
+                images = conj.T[base].astype(np.intp)  # widened before arithmetic
+                found = np.zeros(len(rows), dtype=np.intp)
+                for i, (size, place, inv) in enumerate(sift):
+                    at = place[images[i]]
+                    assert at.min() >= 0, "conjugate outside the group"
+                    found = found * size + at
+                    images[i + 1:] = inv[images[i + 1:] + at * MAX_DEGREE]
+                assert np.array_equal(el.take(found, axis=0), conj), "conjugate outside the group"
+                nb[rank[start:start + _CHUNK]] = rank[found]
+            neighbours.append(nb)
+        del rank
+        # min-label propagation with pointer jumping, on ranks
         label = np.arange(order)
         while True:
             new = label
@@ -312,16 +345,10 @@ class PermutationGroup:
                 new = np.minimum(new, new[nb])
             new = new[new]
             if np.array_equal(new, label):
-                return el, label
+                break
             label = new
-
-    def conjugacy_classes(self) -> list[tuple[Permutation, int]]:
-        """(representative, class size) pairs: representatives are the
-        lexicographically least class members, classes sorted by
-        representative."""
-        el, label = self.class_labels()
         reps, sizes = np.unique(label, return_counts=True)
-        return [(tuple(int(x) for x in el[r]), int(s)) for r, s in zip(reps, sizes)]
+        return [(tuple(el[by_rank[r]].tolist()), int(s)) for r, s in zip(reps, sizes)]
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conjugacy import class_labels
 
 from delpezzo.certify import (
     INCONCLUSIVE,
@@ -72,7 +73,7 @@ def _per_element_subgroups():
     """The stabilizer cycle-type sets from membership masks over all 51840
     elements: the slow reference for the fixed-object counts of the table."""
     graph = incidence_graph(DegreeContext(3))
-    elements, labels = weyl_image(DegreeContext(3)).class_labels()
+    elements, labels = class_labels(weyl_image(DegreeContext(3)))
     rep_rows = np.unique(labels)
     class_of = np.searchsorted(rep_rows, labels)
     reps = [tuple(int(x) for x in elements[r]) for r in rep_rows]

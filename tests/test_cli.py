@@ -337,6 +337,22 @@ def test_cli_density_places_without_tables_is_a_config_error(capsys, monkeypatch
     assert err.startswith("configuration error: ") and "above order 65536" in err and "\n" not in err
 
 
+def test_cli_density_base_field_without_tables_is_named_first(capsys, monkeypatch):
+    # GF(65537) has no tables; the default point budget is also below 65537^3,
+    # but the missing field is the fault to report
+    from delpezzo import experiment
+
+    def never(*args, **kwargs):
+        raise AssertionError("the class table was built for a field without tables")
+
+    monkeypatch.setattr(experiment, "build_class_table", never)
+    assert main(["density", "-q", "65537", "-N", "1", "-D", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("configuration error: ") and "above order 65536" in err and "\n" not in err
+
+
 def test_cli_density_rejects_a_negative_budget(capsys, monkeypatch):
     from delpezzo import experiment
 

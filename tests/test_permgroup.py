@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import pytest
+from conjugacy import class_labels
 
 from delpezzo.incidence import automorphism_group, incidence_graph, weyl_image
 from delpezzo.lattice import DegreeContext
@@ -222,6 +227,11 @@ def cross_check_groups():
     # degree 256, moving point 255: rows are uint8, so index arithmetic done
     # in uint8 would wrap here
     yield PermutationGroup(256, [from_cycles(256, (0, 255)), from_cycles(256, (1, 2, 3))])
+    # base (254, 0): the columns up to the last base point take 32 big-endian words
+    yield PermutationGroup(256, [from_cycles(256, (254, 255)), from_cycles(256, (0, 1, 2))])
+    # generators whose product is the identity
+    s0, s1 = transpositions(5)[:2]
+    yield PermutationGroup(5, [s0, s1, inverse(compose(s0, s1))])
     for d in range(3, 8):
         yield weyl_image(DegreeContext(d))
 
@@ -237,10 +247,93 @@ def test_conjugacy_classes_match_the_orbit_partition():
     for G in cross_check_groups():
         classes = G.conjugacy_classes()
         assert classes == bfs_conjugacy_classes(G)
-        el, label = G.class_labels()
+        el, label = class_labels(G)
         assert [tuple(r) for r in el.tolist()] == sorted(G.elements())
         assert [tuple(el[r].tolist()) for r in sorted(set(label.tolist()))] == [
             rep for rep, _ in classes]
+
+
+def random_group(rng, n):
+    """A group of degree n generated by one to three permutations of random
+    subsets of the points, so that small groups occur."""
+    gens = []
+    for _ in range(rng.randrange(1, 4)):
+        moved = rng.sample(range(n), rng.randrange(min(2, n), n + 1))
+        images = moved[:]
+        rng.shuffle(images)
+        p = list(range(n))
+        for x, y in zip(moved, images):
+            p[x] = y
+        gens.append(tuple(p))
+    return PermutationGroup(n, gens)
+
+
+def test_conjugacy_classes_match_the_orbit_partition_on_random_groups():
+    rng = random.Random(19)
+    checked = 0
+    while checked < 100:
+        G = random_group(rng, rng.randrange(1, 10))
+        if G.order > 5040:  # the breadth-first reference is pure Python
+            continue
+        assert G.conjugacy_classes() == bfs_conjugacy_classes(G)
+        checked += 1
+
+
+def test_conjugators_generate_the_group():
+    G = weyl_image(DegreeContext(3))
+    conjugators = [G._decode(g) for g in G._conjugators()]
+    product = identity(27)
+    for g in G.generators:
+        product = compose(product, g)
+    # the product s0...s5 and two simple reflections: <product, s0> has order 576
+    assert conjugators == [product, G.generators[0], G.generators[1]]
+    assert PermutationGroup(27, conjugators[:2]).order == 576
+    assert PermutationGroup(27, conjugators).order == G.order
+    s0, s1 = transpositions(5)[:2]
+    assert PermutationGroup(5, [s0, s1, inverse(compose(s0, s1))])._conjugators() == [
+        bytes(s0) + bytes(range(5, 256)), bytes(s1) + bytes(range(5, 256))]
+    assert PermutationGroup(4, [])._conjugators() == []
+
+
+def test_conjugacy_classes_stay_within_a_few_megabytes():
+    # 1.4 MB of rows and a few index arrays of 51840 entries
+    G = weyl_image(DegreeContext(3))
+    tracemalloc.start()
+    try:
+        assert len(G.conjugacy_classes()) == 25
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+def test_element_array_stays_small():
+    G = weyl_image(DegreeContext(3))
+    tracemalloc.start()
+    try:
+        assert G.element_array().nbytes == 51840 * 27
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+
+
+def test_the_library_leaves_numpy_ma_unimported():
+    # a plain np.unique(x) imports numpy.ma, 16 ms and 1.6 MB resident on its
+    # first call; every library call passes return_counts or return_index
+    code = (
+        "import sys\n"
+        "import delpezzo.cli\n"
+        "from delpezzo.certify import build_class_table\n"
+        "from delpezzo.experiment import ExperimentConfig, run_density\n"
+        "build_class_table()\n"
+        "run_density(ExperimentConfig(degree_bounds=(1,), samples_per_degree=1, seed='ma'))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_class_table_build_stays_small():
@@ -374,21 +467,10 @@ def test_byte_chain_matches_tuple_chain_on_the_paper_groups(d):
 def test_byte_chain_matches_tuple_chain_on_random_groups():
     rng = random.Random(2026)
     for _ in range(200):
-        n = rng.randrange(1, 13)
-        gens = []
-        for _ in range(rng.randrange(1, 4)):
-            # permute a random subset of the points, so that small groups occur
-            moved = rng.sample(range(n), rng.randrange(min(2, n), n + 1))
-            images = moved[:]
-            rng.shuffle(images)
-            p = list(range(n))
-            for x, y in zip(moved, images):
-                p[x] = y
-            gens.append(tuple(p))
-        G = PermutationGroup(n, gens)
+        G = random_group(rng, rng.randrange(1, 13))
         ref = TupleChain(G.degree, G.generators)
         assert_same_chain(G, ref)
-        point = rng.randrange(n)
+        point = rng.randrange(G.degree)
         assert_same_chain(G.stabilizer_of_point(point), ref.stabilizer_of_point(point))
 
 
