@@ -251,6 +251,26 @@ SUBGROUP_NAMES = (
 )
 
 
+def _fixed_members(rows: np.ndarray, family: list[frozenset[frozenset[int]]],
+                   componentwise: bool = False) -> list[int]:
+    """Per line permutation in `rows`, the number of members of `family` it
+    fixes, as `image` would count them: each member's blocks, disjoint line
+    sets of one size, must go to blocks of the member (to themselves when
+    `componentwise`).  One gather of the family's line arrays through the
+    rows, then one of the block that each image line lies in."""
+    blocks = np.array([sorted(sorted(b) for b in member) for member in family])  # (members, blocks, size)
+    members, count, _ = blocks.shape
+    member = np.arange(members)[:, None, None]
+    block_of = np.full((members, rows.shape[1]), -1)
+    block_of[member, blocks] = np.arange(count)[:, None]
+    landed = block_of[member, rows[:, blocks]]  # (rows, members, blocks, size)
+    if componentwise:
+        fixed = landed == np.arange(count)[:, None]
+    else:
+        fixed = (landed >= 0) & (landed == landed[..., :1])
+    return [int(n) for n in fixed.all(axis=(2, 3)).sum(axis=1)]
+
+
 @lru_cache(maxsize=None)
 def build_class_table() -> ClassTable:
     """Derive the full 25-row class table and the stabilizer cycle-type sets
@@ -307,14 +327,12 @@ def build_class_table() -> ClassTable:
         "TritangentStab": [frozenset({frozenset(t)}) for t in tritangent_triangles(graph)],
         "TripleNineSetStab": nines,
     }
-    fixed = {name: (len(family), [sum(image(g, b) == b for b in family) for g in reps])
-             for name, family in setwise.items()}
+    rep_rows = np.array(reps)
+    fixed = {name: (len(family), _fixed_members(rep_rows, family)) for name, family in setwise.items()}
     for name, (_, fix) in fixed.items():
         assert sizes @ fix == 51840, f"{name}: the group has more than one orbit (Burnside)"
     # componentwise: each of a triple nine's three nines is fixed
-    parts = [[frozenset({p}) for p in b] for b in nines]
-    fixed["TripleNineComponentwiseStab"] = (
-        len(nines), [sum(all(image(g, p) == p for p in ps) for ps in parts) for g in reps])
+    fixed["TripleNineComponentwiseStab"] = (len(nines), _fixed_members(rep_rows, nines, componentwise=True))
     # the orientation: K is fixed, so det is the rank-6 char poly's last term
     fixed["EvenSubgroup"] = (1, [int(poly[-1] == 1) for poly in polys])
     subgroups = {}

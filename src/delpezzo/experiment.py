@@ -144,8 +144,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not is_prime(self.q):
             raise ValueError("q must be prime")
-        if self.samples_per_degree < 0 or self.max_place_degree < 1 or self.max_places < 1:
-            raise ValueError("budgets must be positive")
+        if self.samples_per_degree < 0:
+            raise ValueError(f"samples_per_degree (-N) must be >= 0, not {self.samples_per_degree}")
+        if self.max_place_degree < 1:
+            raise ValueError(f"max_place_degree (--max-place-degree) must be >= 1, not {self.max_place_degree}")
+        if self.max_places < 1:
+            raise ValueError(f"max_places (--max-places) must be >= 1, not {self.max_places}")
         if any(d < 0 for d in self.degree_bounds):
             raise ValueError("degree bounds must be >= 0")
         if self.min_usable_places < 1:

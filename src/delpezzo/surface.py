@@ -45,6 +45,22 @@ every element of J but not every monomial.  The rank of the Macaulay matrix
 (`_macaulay_matrix`) is that of J in the target degree and does not change
 under field extension, so the test needs no extension field and no budget.
 
+The rank and the witness come from one exact elimination on Python ints
+(`_Packed`).  The columns are inserted one at a time, in column order, into a
+basis keyed by leading entry; each is packed as one int, its entries above
+the combination of input columns that it is (at first e_j).  A column that
+keeps a nonzero entry joins the basis, so the rank is the size of the basis.
+The first column f that reduces to zero is the first free column of the
+reduced row echelon form: the columns before it are independent and column f
+is a combination of them.  So exactly one kernel vector has 1 at f and no
+entry past f, and both the tracked combination and the RREF's solution (1 at
+f, the reduced rows' entries in column f, negated, at the pivots) are that
+vector: the witness.  In characteristic 2 an entry is its encoding, a
+product by x is a shift, a mask and a product with the low part of the
+modulus, and a subtraction is one XOR.  In odd characteristic an entry is its
+base-p digits, which grow lazily and are reduced when they lead or when a
+vector joins the basis.
+
 A `CubicForm` builds each extension, its encoded terms, its moved form and
 its point count once; `count_points` is a view of that count, and an
 extension inherits the base form's moved form, lifted.  `trace_sequence`,
@@ -140,9 +156,10 @@ class CubicForm:
         for v in range(4):
             terms = []
             for c, e in zip(self.coeffs, MONOMIALS):
-                scaled = fs.mul(c, e[v] % fs.p)
-                if scaled == 0:
+                n = e[v] % fs.p  # the exponent as a prime-field scalar
+                if c == 0 or n == 0:
                     continue
+                scaled = c if n == 1 else fs.mul(c, n)
                 lowered = tuple(x - 1 if i == v else x for i, x in enumerate(e))
                 terms.append((scaled, lowered))
             out.append(tuple(terms))
@@ -584,53 +601,179 @@ SMOOTH_CERTIFIED = "smooth_certified"
 NOT_SMOOTH = "not_smooth"
 
 
+@lru_cache(maxsize=None)
+def _macaulay_layout(degree: int) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """Exponents as base-(degree + 1) keys, which add as the monomials
+    multiply: the radix, the column of each degree-`degree` monomial by its
+    key, and per generator degree d the keys of the monomials of degree
+    `degree` - d, read-only since every call shares them."""
+    radix = (degree + 1) ** np.arange(4)
+    keys = np.array(_monomials(degree)) @ radix
+    column = np.zeros((degree + 1) ** 4, dtype=np.int64)
+    column[keys] = np.arange(len(keys))
+    multipliers = {d: np.array(_monomials(degree - d)) @ radix for d in (2, 3)}
+    for array in (radix, column, *multipliers.values()):
+        array.flags.writeable = False
+    return radix, column, multipliers
+
+
 def _macaulay_matrix(form: CubicForm) -> np.ndarray:
     """Encoded Macaulay matrix of the ideal J of the singular locus in degree
     D: a row per generator times monomial of the complementary degree, a
     column per degree-D monomial in `_monomials(D)` order.  The generators are
-    the four partials with D = 5, and for p = 3 also F, with D = 9."""
+    the four partials with D = 5, and for p = 3 F and then the partials, with
+    D = 9 (F's rows first: `smoothness_certificate` leads with the last rows,
+    and the partials' there fill in about half as much as F's)."""
     gens = [(g, 2) for g in form.gradient_terms]
     degree = 5
     if form.field.p == 3:
-        gens.append((form.terms, 3))
+        gens.insert(0, (form.terms, 3))
         degree = 9
-    # exponents as base-(D + 1) keys, which add as the monomials multiply
-    radix = (degree + 1) ** np.arange(4)
-    columns = np.array(_monomials(degree)) @ radix
-    index = np.zeros((degree + 1) ** 4, dtype=np.int64)
-    index[columns] = np.arange(len(columns))
+    radix, column, multipliers = _macaulay_layout(degree)
     blocks = []
     for terms, d in gens:
-        multipliers = np.array(_monomials(degree - d)) @ radix
-        block = np.zeros((len(multipliers), len(columns)), dtype=np.int64)
+        block = np.zeros((len(multipliers[d]), len(_monomials(degree))), dtype=np.int64)
         if terms:
             coeffs, exponents = zip(*terms)
-            keys = multipliers[:, None] + np.array(exponents) @ radix
-            block[np.arange(len(multipliers))[:, None], index[keys]] = coeffs
+            keys = multipliers[d][:, None] + np.array(exponents) @ radix
+            block[np.arange(len(block))[:, None], column[keys]] = coeffs
         blocks.append(block)
     return np.concatenate(blocks)
 
 
-def _row_reduce(tab, matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The nonzero rows of the reduced row echelon form of an encoded matrix,
-    and its pivot columns."""
-    m = matrix.copy()
-    pivots: list[int] = []
-    for col in range(m.shape[1]):
-        rank = len(pivots)
-        nonzero = np.flatnonzero(m[rank:, col])
-        if not len(nonzero):
-            continue
-        m[[rank, rank + nonzero[0]]] = m[[rank + nonzero[0], rank]]
-        # rows from `rank` on are zero left of `col`: scale the pivot to 1
-        inverse = tab.fs.order - 1 - tab.LOG[m[rank, col]]
-        m[rank, col:] = tab.EXP[tab.LOG[m[rank, col:]] + inverse]
-        factors = m[:, col].copy()
-        factors[rank] = 0
-        hit = np.flatnonzero(factors)
-        m[hit, col:] = tab.add(m[hit, col:], tab.NEG[tab.mul(factors[hit, None], m[rank, col:])])
-        pivots.append(col)
-    return m[: len(pivots)], pivots
+def _field_width(p: int, k: int, columns: int) -> int:
+    """The bits of a packed field over GF(p^k), the least of 8, 16, 32 and 64
+    that no field can overflow.  In characteristic 2 a product by x shifts
+    an encoding one bit up before it is reduced, so a field needs k + 1 bits.
+    In odd characteristic digits are reduced mod p lazily: a field starts at
+    most p - 1, and each of the fewer than `columns` eliminations that a
+    vector goes through adds at most k (p - 1)^2, a sum of k digit products."""
+    bound = (1 << k + 1) - 1 if p == 2 else (p - 1) * (1 + columns * k * (p - 1))
+    width = next((w for w in (8, 16, 32, 64) if bound < 1 << w), 0)
+    assert width, f"GF({p}^{k}): a packed field would pass 64 bits"
+    return width
+
+
+class _Packed:
+    """Vectors of `entries` entries over F_q, each packed into one Python int
+    for `smoothness_certificate`: a field of `width` bits (`_field_width`) per
+    coordinate over F_p, field i at bits i width to (i + 1) width.  An entry
+    is one field in characteristic 2, its encoding, and k fields otherwise,
+    its base-p digits, lowest first.  A vector's leading entry is its highest
+    nonzero one."""
+
+    def __init__(self, fs: FieldSpec, entries: int, columns: int):
+        p, k = fs.p, fs.k
+        self.width = _field_width(p, k, columns)
+        self.fs, self.tab, self.entries = fs, fs.tables, entries
+        self.digits = 1 if p == 2 else k
+        self.entry_bits = self.width * self.digits
+        self.dtype = np.dtype(f"<u{self.width // 8}")
+        if p == 2:
+            # bit k of every field, and x^k as an encoding: x v is v << 1 with
+            # each bit k replaced by x^k
+            self.high = self._ints(np.full((1, entries), 1 << k))[0]
+            self.xk = sum(d << i for i, d in enumerate(fs.modulus[:k]))
+        else:
+            self.mask = (1 << self.width) - 1
+            self.ppow = [p**i for i in range(k)]
+
+    def _ints(self, fields: np.ndarray) -> list[int]:
+        """Each row of a 2-D array of field values as one int."""
+        raw = fields.astype(self.dtype, copy=False).tobytes()
+        size = len(raw) // len(fields)
+        return [int.from_bytes(raw[lo:lo + size], "little") for lo in range(0, len(raw), size)]
+
+    def _fields(self, v: int, entries: int) -> np.ndarray:
+        """The low `entries` entries of v as an (entries, digits) array, with
+        every digit reduced."""
+        raw = np.frombuffer(v.to_bytes(entries * self.entry_bits // 8, "little"), dtype=self.dtype)
+        return (raw if self.tab.COORDS is None else raw % self.fs.p).reshape(entries, self.digits)
+
+    def pack_columns(self, matrix: np.ndarray) -> list[int]:
+        """Column j of an encoded matrix as one vector: the column's entries
+        above e_j, the combination of the columns that it is."""
+        rows, columns = matrix.shape
+        fields = np.zeros((columns, columns + rows, self.digits), dtype=self.dtype)
+        fields[np.arange(columns), np.arange(columns), 0] = 1
+        fields[:, columns:] = matrix.T[..., None] if self.tab.COORDS is None else self.tab.COORDS[matrix.T]
+        return self._ints(fields.reshape(columns, -1))
+
+    def encodings(self, v: int, entries: int) -> tuple[int, ...]:
+        """The low `entries` entries of v as encodings."""
+        fields = self._fields(v, entries).astype(np.int64)
+        return tuple(int(c) for c in (fields[:, 0] if self.tab.COORDS is None else fields @ self.tab.PPOW))
+
+    def lead(self, top: int) -> int:
+        """The encoding of the entry that `top` holds with its digits
+        unreduced, in odd characteristic (in characteristic 2, `top`)."""
+        p = self.fs.p
+        if self.digits == 1:
+            return top % p
+        c = 0
+        for w in self.ppow:
+            c += (top & self.mask) % p * w
+            top >>= self.width
+        return c
+
+    def _times_x(self, v: int) -> int:
+        v <<= 1
+        over = v & self.high
+        return v ^ over ^ (over >> self.fs.k) * self.xk
+
+    def basis(self, v: int, c: int) -> list[int]:
+        """x^i v / c for i < k with every digit reduced, for a vector v with c
+        at its leading entry: a basis vector with 1 there, and its products by
+        x that `multiple` combines."""
+        k = self.fs.k
+        if self.tab.COORDS is None:
+            # v / c from the products x^i v, then its own products by x
+            shifts = [v if c == 1 else self.multiple(self.basis(v, 1), _scaling(self.tab, c))]
+            for _ in range(k - 1):
+                shifts.append(self._times_x(shifts[-1]))
+            return shifts
+        times = _scaling(self.tab, c)
+        shifted = (self._fields(v, self.entries) @ times).astype(self.dtype) % self.fs.p
+        return self._ints(shifted.reshape(k, -1))
+
+    def multiple(self, shifts: list[int], c: int) -> int:
+        """From the products x^i b of a vector b, c b in characteristic 2 (the
+        XOR of those at the bits of c), and -c b otherwise (their sum with
+        the digits of -c as factors)."""
+        if self.fs.p == 2:
+            out = 0
+            for s in shifts:
+                if c & 1:
+                    out ^= s
+                c >>= 1
+            return out
+        p = self.fs.p
+        out = 0
+        for w, s in zip(self.ppow, shifts):
+            out += -(c // w) % p * s
+        return out
+
+
+@lru_cache(maxsize=None)
+def _packing(fs: FieldSpec, entries: int, columns: int) -> _Packed:
+    return _Packed(fs, entries, columns)
+
+
+@lru_cache(maxsize=1024)
+def _scaling(tab, c: int) -> int | np.ndarray:
+    """In characteristic 2, 1 / c; otherwise the products by x^i / c on
+    digits: entry [i, j] holds the digits of x^i x^j / c."""
+    fs = tab.fs
+    inverse = fs.inv(c)
+    if tab.COORDS is None:
+        return inverse
+    logs = tab.LOG[tab.PPOW]
+    times = tab.COORDS[tab.EXP[logs[:, None] + logs + int(tab.LOG[inverse])]]
+    # a float product is exact here (sums of k products of digits) and
+    # several times faster than an integer one
+    times = times.astype(np.float64)
+    times.flags.writeable = False
+    return times
 
 
 @dataclass(frozen=True)
@@ -650,19 +793,48 @@ class SmoothnessVerdict:
 
 def smoothness_certificate(form: CubicForm) -> SmoothnessVerdict:
     """Exact: SMOOTH_CERTIFIED when the Macaulay matrix has full column rank,
-    NOT_SMOOTH with a kernel vector otherwise (see the module docstring)."""
-    tab = form.field.tables
+    NOT_SMOOTH with a kernel vector otherwise (see the module docstring).
+
+    The columns go into a basis one by one, in order.  While a column has a
+    leading entry at which a basis vector leads, the multiple of that vector
+    that clears it is subtracted; a column left with a leading entry joins
+    the basis, scaled to lead with 1.  A column left with none is zero: the
+    first such carries the witness, its tracked combination."""
     matrix = _macaulay_matrix(form)
-    reduced, pivots = _row_reduce(tab, matrix)
-    columns = matrix.shape[1]
-    if len(pivots) == columns:
+    rows, columns = matrix.shape
+    packed = _packing(form.field, columns + rows, columns)
+    two = form.field.p == 2
+    step = packed.entry_bits
+    floor = step * columns  # the combination below the entries
+    # by the lowest bit of the leading entry: the products by x and the
+    # multiples used so far of each basis vector
+    basis: dict[int, tuple[list[int], dict[int, int]]] = {}
+    witness = None
+    for v in packed.pack_columns(matrix):
+        size = v.bit_length()
+        while size > floor:
+            at = (size - 1) // step * step
+            top = v >> at
+            c = top if two else packed.lead(top)
+            if c:
+                entry = basis.get(at)
+                if entry is None:
+                    basis[at] = (packed.basis(v, c), {})
+                    break
+                shifts, multiples = entry
+                m = multiples.get(c)
+                if m is None:
+                    m = multiples[c] = packed.multiple(shifts, c)
+                v = v ^ m if two else v + m
+            if not two:
+                v ^= v >> at << at  # the leading entry, now 0 mod p
+            size = v.bit_length()
+        else:
+            if witness is None:
+                witness = packed.encodings(v, columns)
+    if len(basis) == columns:
         return SmoothnessVerdict(SMOOTH_CERTIFIED, columns, columns)
-    # set the first free column to 1 and solve the reduced rows for the pivots
-    free = min(set(range(columns)) - set(pivots))
-    witness = np.zeros(columns, dtype=np.int64)
-    witness[free] = 1
-    witness[pivots] = tab.NEG[reduced[:, free]]
-    return SmoothnessVerdict(NOT_SMOOTH, len(pivots), columns, tuple(int(x) for x in witness))
+    return SmoothnessVerdict(NOT_SMOOTH, len(basis), columns, witness)
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,18 @@ def test_cli_density_bad_config_is_one_line(argv, capsys):
     assert err.startswith("configuration error: ") and "\n" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["-N", "-1"], "samples_per_degree (-N) must be >= 0, not -1"),
+    (["--max-place-degree", "0"], "max_place_degree (--max-place-degree) must be >= 1, not 0"),
+    (["--max-places", "0"], "max_places (--max-places) must be >= 1, not 0"),
+])
+def test_cli_density_names_the_bad_option(argv, message, capsys):
+    assert main(["density", "-D", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
+
+
 @pytest.mark.parametrize("argv, places, needed", [
     # F_2 has 2 places of degree 1, and the default needs 3 usable places
     (["-N", "2", "-D", "1", "--max-place-degree", "1"], 2, 3),

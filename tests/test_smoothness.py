@@ -1,4 +1,5 @@
-"""The exact smoothness test against an exhaustive singular-point search.
+"""The exact smoothness test against an exhaustive singular-point search and
+against the reduced row echelon form of tests/macaulay.py.
 
 `smoothness_certificate` decides smoothness by one Macaulay rank over F_q.
 The reference is `singular_point(form, max_extension=4)`, a scan of the
@@ -19,6 +20,7 @@ surface is singular.
 import random
 
 import pytest
+from macaulay import reference_verdict
 from plucker import line_intersection_labels
 
 from delpezzo.gf import embed, field
@@ -29,6 +31,7 @@ from delpezzo.surface import (
     NOT_SMOOTH,
     SMOOTH_CERTIFIED,
     CubicForm,
+    _field_width,
     lines_on_surface,
     singular_point,
     smoothness_certificate,
@@ -170,3 +173,71 @@ def test_singular_only_over_gf_q4_is_not_smooth(form):
     verdict = smoothness_certificate(form)
     assert verdict.status == NOT_SMOOTH
     assert annihilates(form, verdict.witness)
+
+
+def moved_cone(fs, seed=0):
+    """The cone over a seeded plane cubic with its vertex at a seeded point
+    (a, b, c, 1): G(x - a w, y - b w, z - c w).  Singular at the vertex, off
+    every coordinate point, so its witness has many distinct entries."""
+    rng = random.Random(f"cone/{fs!r}/{seed}")
+    vertex = [rng.randrange(fs.order) for _ in range(3)]
+    # x_i - v_i w, as exponents -> coefficient
+    linear = [{tuple(int(j == i) for j in range(4)): 1, (0, 0, 0, 1): fs.neg(v)} for i, v in enumerate(vertex)]
+    coeffs = dict.fromkeys(MONOMIALS, 0)
+    for e in MONOMIALS:
+        if e[3]:
+            continue
+        product = {(0, 0, 0, 0): rng.randrange(1, fs.order)}
+        for i in range(3):
+            for _ in range(e[i]):
+                nxt = {}
+                for a, c in product.items():
+                    for b, d in linear[i].items():
+                        key = tuple(x + y for x, y in zip(a, b))
+                        nxt[key] = fs.add(nxt.get(key, 0), fs.mul(c, d))
+                product = nxt
+        for a, c in product.items():
+            coeffs[a] = fs.add(coeffs[a], c)
+    return CubicForm(fs, tuple(coeffs[e] for e in MONOMIALS))
+
+
+#: (field, number of seeded forms): 8-bit fields up to GF(2^7), 16-bit ones
+#: for GF(2^9) and for small odd p, 32-bit ones for GF(251)
+REFERENCE_FIELDS = [(field(2), 60), (field(2, 2), 40), (field(2, 3), 40), (field(2, 4), 20), (field(2, 9), 10),
+                    (field(3), 6), (field(5), 20), (field(7), 20), (field(3, 2), 4), (field(5, 2), 10),
+                    (field(251), 10)]
+
+
+@pytest.mark.parametrize("fs,n", REFERENCE_FIELDS, ids=[repr(fs) for fs, _ in REFERENCE_FIELDS])
+def test_verdict_matches_the_reduced_row_echelon_form(fs, n):
+    """Status, rank and witness equal those of the RREF on seeded forms and a
+    moved cone, smooth and singular ones both."""
+    statuses = set()
+    for form in seeded_forms(fs, n) + [moved_cone(fs)]:
+        verdict = smoothness_certificate(form)
+        assert verdict == reference_verdict(form), form.coeffs
+        statuses.add(verdict.status)
+    assert statuses == {SMOOTH_CERTIFIED, NOT_SMOOTH}
+
+
+@pytest.mark.parametrize("form", [
+    CubicForm.fermat(field(65521)),
+    moved_cone(field(65521)),
+    twisted_cayley(2),
+    twisted_cayley(3),
+], ids=["fermat-65521", "cone-65521", "cayley-q2", "cayley-q3"])
+def test_verdict_matches_the_reference_past_32_bits_and_on_cayley(form):
+    """GF(65521) packs 64-bit fields; the Cayley cubics are singular only over
+    GF(q^4)."""
+    assert smoothness_certificate(form) == reference_verdict(form)
+
+
+def test_packed_field_widths():
+    """The least width that no field can overflow: k + 1 bits in
+    characteristic 2, (p - 1)(1 + columns k (p - 1)) otherwise, with 56
+    columns or 220 for p = 3."""
+    cases = {(2, 1): 8, (2, 7): 8, (2, 8): 16, (2, 15): 16, (2, 16): 32, (3, 1): 16, (3, 10): 16, (5, 2): 16,
+             (7, 1): 16, (37, 1): 32, (251, 1): 32, (65521, 1): 64}
+    assert {pk: _field_width(*pk, 220 if pk[0] == 3 else 56) for pk in cases} == cases
+    # GF(31): 30 (1 + 56 * 30) = 50430 fits 16 bits, GF(37): 36 (1 + 56 * 36) does not
+    assert _field_width(31, 1, 56) == 16
