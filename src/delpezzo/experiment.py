@@ -143,7 +143,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if not is_prime(self.q):
-            raise ValueError("q must be prime")
+            raise ValueError(f"q (-q) must be prime, not {self.q}")
         if self.samples_per_degree < 0:
             raise ValueError(f"samples_per_degree (-N) must be >= 0, not {self.samples_per_degree}")
         if self.max_place_degree < 1:
@@ -151,12 +151,12 @@ class ExperimentConfig:
         if self.max_places < 1:
             raise ValueError(f"max_places (--max-places) must be >= 1, not {self.max_places}")
         if any(d < 0 for d in self.degree_bounds):
-            raise ValueError("degree bounds must be >= 0")
+            raise ValueError(f"degree_bounds (-D) must be >= 0, not {min(self.degree_bounds)}")
         if self.min_usable_places < 1:
-            raise ValueError("min_usable_places must be >= 1")
+            raise ValueError(f"min_usable_places (--min-usable-places) must be >= 1, not {self.min_usable_places}")
         base = field(self.q, 1)  # a field without tables is the first fault to name
         if self.point_budget < self.q**3:
-            raise ValueError("point budget too small to count over the base field")
+            raise ValueError(f"point_budget (--budget-points) must be >= q^3 = {self.q**3}, not {self.point_budget}")
         if self.line_budget < 0:
             raise ValueError("line budget must be >= 0")
         places = len(places_up_to(base, self.max_place_degree, self.max_places))

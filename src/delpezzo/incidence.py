@@ -6,11 +6,14 @@ on the diagonal.  Automorphisms are the label-matrix-preserving vertex
 permutations, found by backtracking over an iterated equitable-partition
 refinement (color counts for every label but the last, which they imply,
 ranked as big-endian byte keys), with coset candidates already in the orbit of
-the generators found so far skipped (orbit pruning).  Each refiner refines a
-given coloring once and hands back the same read-only result on a repeat, so
-the domain side of a level is refined once, not once per coset candidate.  The
-Weyl image is the permutation action of the simple-root reflections on the
-same vertex list.
+the generators found so far skipped (orbit pruning).  A round counts only
+against the cells the round before split (against {v} and the rest of v's
+cell after individualizing v): the columns against any other cell are
+constant on every current cell, so the ids are those of counting against
+every color.  Each refiner refines a given coloring once and hands back the
+same read-only result on a repeat, so the domain side of a level is refined
+once, not once per coset candidate.  The Weyl image is the permutation action
+of the simple-root reflections on the same vertex list.
 
 For degree 3 the classical substructures of the 27 lines are enumerated here:
 tritangent triangles (class sum = -K), double sixes and triple nines.  Double
@@ -110,11 +113,25 @@ class _Refiner:
     rank.  For any other matrix the partition can only come out coarser: it is
     still isomorphism-invariant, and every bijection is checked entry by entry.
 
-    All counts come from one float32 matmul against the stacked label masks,
-    exact because counts are at most n < 2^16 < 2^24.  Each signature row is
-    written as big-endian uint16 and ranked as one opaque byte key: bytewise
-    order of big-endian unsigned integers is lexicographic order, so the ranks
-    equal those of a row-wise lexicographic sort.
+    A round counts only against the cells whose columns can still vary: every
+    color in the first round of `refine(colors)`, {v} and the rest of v's old
+    cell in the first round of `refine(colors, v)`, and after that every piece
+    of each cell the round before split.  The columns are laid out
+    label-major and in id order, as the full signature would have them, and
+    the ids are the same: a column against a cell that the last round did not
+    split was already in the key that ranked the current coloring (or, after
+    individualizing v in a stable coloring, it is constant on every old
+    cell), so it is constant on every current cell, and since the key leads
+    with the color it never decides between two vertices.  Refinement stops
+    at the first round that splits no cell and returns the rank of that
+    round's input.
+
+    The counts of a round are one bincount: each member j of a counted cell
+    adds one to the bin (i, label of (i, j), piece of j) of every vertex i.
+    Each signature row is written as big-endian uint16 and ranked as one
+    opaque byte key: bytewise order of big-endian unsigned integers is
+    lexicographic order, so the ranks equal those of a row-wise
+    lexicographic sort.
 
     A search refines the same coloring many times (the domain side of every
     coset candidate), so `refine` keeps each input coloring's stable
@@ -126,43 +143,57 @@ class _Refiner:
         if self.n >= 1 << 16:
             raise ValueError(f"refinement keys hold 16-bit counts; got {self.n} vertices")
         values = sorted(set(labels[np.triu_indices(self.n, 1)].tolist())) if self.n > 1 else []
-        self.n_masks = max(len(values) - 1, 0)
-        # row l*n + i is vertex i's indicator row for the l-th label value
-        self.masks = np.concatenate(
-            [(labels == v).astype(np.float32) for v in values[:-1]]
-            or [np.zeros((0, self.n), dtype=np.float32)]
-        )
+        counted = values[:-1]
+        self.n_counted = len(counted)
+        # row j, column i: the bin i * (n_counted + 1) + l of entry (i, j),
+        # l the rank of its label among the counted ones, or n_counted (a bin
+        # left out) for the last label and a diagonal value that is no edge label
+        label = np.where(np.isin(labels, counted), np.searchsorted(counted, labels), self.n_counted)
+        bins = np.arange(self.n)[:, None] * (self.n_counted + 1) + label
+        self.bins = np.ascontiguousarray(bins.T, dtype=np.intp)
         self.memo: dict[bytes, np.ndarray] = {}
 
-    def refine(self, colors: np.ndarray) -> np.ndarray:
+    def refine(self, colors: np.ndarray, v: int | None = None) -> np.ndarray:
+        """The stable refinement of `colors`, or with `v`, of
+        `_individualize(colors, v)` for a `colors` that `refine` returned."""
+        changed = None
+        if v is not None:
+            old = int(colors[v])
+            colors = _individualize(colors, v)
+            # the fresh id n is the last; v's old cell keeps its id unless v was alone
+            changed = [old, self.n] if (colors == old).any() else [self.n]
         key = colors.tobytes()
         out = self.memo.get(key)
         if out is None:
-            out = self._rounds(colors)
+            out = self._rounds(colors, changed)
             out.setflags(write=False)
             self.memo[key] = out
         return out
 
-    def _rounds(self, colors: np.ndarray) -> np.ndarray:
-        n, n_masks = self.n, self.n_masks
+    def _rounds(self, colors: np.ndarray, changed: np.ndarray | list[int] | None = None) -> np.ndarray:
+        n, n_counted = self.n, self.n_counted
         while True:
-            # one count column per color present: the columns of absent ids
-            # are zero in every row and leave the row order unchanged
-            present, dense = np.unique(colors, return_inverse=True)
-            k = len(present)
-            onehot = np.zeros((n, k), dtype=np.float32)
-            onehot[np.arange(n), dense] = 1.0
-            counts = (self.masks @ onehot).reshape(n_masks, n, k)
-            sig = np.empty((n, 1 + n_masks * k), dtype=">u2")
+            if changed is None:
+                changed = np.unique(colors)
+            k = len(changed)
+            slot = np.full(int(colors.max()) + 1, -1)
+            slot[changed] = np.arange(k)
+            piece = slot[colors]
+            members = np.nonzero(piece >= 0)[0]
+            bins = self.bins[members] * k + piece[members, None]
+            counts = np.bincount(bins.ravel(), minlength=n * (n_counted + 1) * k)
+            sig = np.empty((n, 1 + n_counted * k), dtype=">u2")
             sig[:, 0] = colors
-            sig[:, 1:] = counts.transpose(1, 0, 2).reshape(n, n_masks * k)
+            sig[:, 1:] = counts.reshape(n, n_counted + 1, k)[:, :n_counted].reshape(n, n_counted * k)
             keys = sig.view(np.dtype((np.void, sig.shape[1] * 2))).ravel()
             _, new = np.unique(keys, return_inverse=True)
             new = new.astype(np.int64)
-            if int(new.max()) == int(colors.max()) and np.array_equal(
-                np.sort(np.bincount(new)), np.sort(np.bincount(colors))
-            ):
-                # partition stabilized (same number and sizes of cells)
+            # a cell split if its color went to more than one new id; all its
+            # pieces are the next round's columns
+            parent = np.empty(int(new.max()) + 1, dtype=np.int64)
+            parent[new] = colors
+            changed = np.nonzero(np.bincount(parent)[parent] > 1)[0]
+            if len(changed) == 0:
                 return new
             colors = new
 
@@ -186,10 +217,14 @@ def _match_search(
     labels_cod: np.ndarray,
     colors_dom: np.ndarray,
     colors_cod: np.ndarray,
+    v: int | None = None,
+    u: int | None = None,
 ) -> Permutation | None:
-    """One label-preserving bijection consistent with the two colorings, or None."""
-    colors_dom = ref_dom.refine(colors_dom)
-    colors_cod = ref_cod.refine(colors_cod)
+    """One label-preserving bijection consistent with the two colorings, or
+    None; with v and u, consistent with the refined colorings individualized
+    at v and at u (see `_Refiner.refine`)."""
+    colors_dom = ref_dom.refine(colors_dom, v)
+    colors_cod = ref_cod.refine(colors_cod, u)
     if not _histograms_match(colors_dom, colors_cod):
         return None
     n = len(colors_dom)
@@ -211,8 +246,10 @@ def _match_search(
             ref_cod,
             labels_dom,
             labels_cod,
-            _individualize(colors_dom, v),
-            _individualize(colors_cod, int(u)),
+            colors_dom,
+            colors_cod,
+            v,
+            int(u),
         )
         if g is not None:
             return g
@@ -273,8 +310,8 @@ def automorphism_group(graph: IncidenceGraph) -> PermutationGroup:
     refiner = _Refiner(labels)
     gens: list[Permutation] = []
 
-    def collect(colors: np.ndarray) -> None:
-        colors = refiner.refine(colors)
+    def collect(colors: np.ndarray, v: int | None = None) -> None:
+        colors = refiner.refine(colors, v)
         counts = np.bincount(colors)
         if counts.max() == 1:
             return
@@ -283,7 +320,7 @@ def automorphism_group(graph: IncidenceGraph) -> PermutationGroup:
         )
         cell = np.nonzero(colors == cell_color)[0]
         v = int(cell[0])
-        collect(_individualize(colors, v))
+        collect(colors, v)
         orbit = _orbit(v, gens)
         for u in cell[1:]:
             if int(u) in orbit:
@@ -293,8 +330,10 @@ def automorphism_group(graph: IncidenceGraph) -> PermutationGroup:
                 refiner,
                 labels,
                 labels,
-                _individualize(colors, v),
-                _individualize(colors, int(u)),
+                colors,
+                colors,
+                v,
+                int(u),
             )
             if g is not None:
                 gens.append(g)

@@ -64,7 +64,7 @@ def verify_table1(degrees: Iterable[int] = range(1, 8)) -> list[Check]:
     For each degree: the class count, the order of the Weyl image, that its
     generators preserve the labels, the order of the full label-preserving
     group found by `automorphism_group`, and that the Weyl image lies in it.
-    Degree 1 (240 vertices, order 696729600) takes about 0.15 s after the
+    Degree 1 (240 vertices, order 696729600) takes about 0.1 s after the
     imports.
     """
     checks = [

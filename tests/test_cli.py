@@ -302,6 +302,10 @@ def test_cli_density_bad_config_is_one_line(argv, capsys):
     (["-N", "-1"], "samples_per_degree (-N) must be >= 0, not -1"),
     (["--max-place-degree", "0"], "max_place_degree (--max-place-degree) must be >= 1, not 0"),
     (["--max-places", "0"], "max_places (--max-places) must be >= 1, not 0"),
+    (["-q", "4"], "q (-q) must be prime, not 4"),
+    (["-D", "-1"], "degree_bounds (-D) must be >= 0, not -1"),
+    (["--min-usable-places", "0"], "min_usable_places (--min-usable-places) must be >= 1, not 0"),
+    (["--budget-points", "7"], "point_budget (--budget-points) must be >= q^3 = 8, not 7"),
 ])
 def test_cli_density_names_the_bad_option(argv, message, capsys):
     assert main(["density", "-D", "1", *argv]) == 2

@@ -152,9 +152,9 @@ def test_automorphism_search_refines_each_coloring_once(monkeypatch):
     rounds = []
     uncached = _Refiner._rounds
 
-    def spy(self, colors):
+    def spy(self, colors, changed=None):
         rounds.append(colors.tobytes())
-        return uncached(self, colors)
+        return uncached(self, colors, changed)
 
     monkeypatch.setattr(_Refiner, "_rounds", spy)
     aut = automorphism_group.__wrapped__(graph(1))
@@ -192,10 +192,44 @@ def _unique_rows_refine(labels, colors):
         colors = new
 
 
-def _assert_same_colors(labels, colors):
-    fast = _Refiner(labels).refine(colors)
+def _full_width_rounds(refiner, colors, changed=None):
+    """`_Refiner._rounds` with every round counting against every color, by
+    one float64 product with the label masks that the refiner's bins encode,
+    and a confirming round at the fixed point: the reference for the rounds
+    that count only against split cells."""
+    n, n_counted = refiner.n, refiner.n_counted
+    label = refiner.bins.T - np.arange(n)[:, None] * (n_counted + 1)
+    masks = (label == np.arange(n_counted)[:, None, None]).reshape(n_counted * n, n).astype(np.float64)
+    while True:
+        present, dense = np.unique(colors, return_inverse=True)
+        k = len(present)
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), dense] = 1.0
+        counts = (masks @ onehot).reshape(n_counted, n, k)
+        sig = np.empty((n, 1 + n_counted * k), dtype=">u2")
+        sig[:, 0] = colors
+        sig[:, 1:] = counts.transpose(1, 0, 2).reshape(n, n_counted * k)
+        keys = sig.view(np.dtype((np.void, sig.shape[1] * 2))).ravel()
+        _, new = np.unique(keys, return_inverse=True)
+        new = new.astype(np.int64)
+        if int(new.max()) == int(colors.max()) and np.array_equal(
+            np.sort(np.bincount(new)), np.sort(np.bincount(colors))
+        ):
+            return new
+        colors = new
+
+
+def _assert_same_colors(labels, colors, v=None, reference=_unique_rows_refine):
+    """`_Refiner.refine(colors)` equals the reference's refinement.  With v,
+    `refine(colors, v)` equals both the reference's refinement and a fresh
+    refiner's `refine` of the individualized coloring, whose first round
+    counts against every color."""
+    fast = _Refiner(labels).refine(colors, v)
+    if v is not None:
+        colors = _individualize(colors, v)
+        assert np.array_equal(fast, _Refiner(labels).refine(colors))
     assert fast.dtype == np.int64
-    assert np.array_equal(fast, _unique_rows_refine(labels, colors))
+    assert np.array_equal(fast, reference(labels, colors))
     return fast
 
 
@@ -204,7 +238,15 @@ def test_refine_colors_match_unique_rows(d):
     labels = graph(d).labels
     uniform = _assert_same_colors(labels, np.zeros(len(labels), dtype=np.int64))
     v = int(np.random.default_rng(d).integers(len(labels)))
-    _assert_same_colors(labels, _individualize(uniform, v))
+    _assert_same_colors(labels, uniform, v)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_refine_at_every_vertex_matches_unique_rows(d):
+    labels = graph(d).labels
+    uniform = _Refiner(labels).refine(np.zeros(len(labels), dtype=np.int64))
+    for v in range(len(labels)):
+        _assert_same_colors(labels, uniform, v)
 
 
 def test_refine_colors_match_unique_rows_on_relabeled_degree_one():
@@ -213,7 +255,7 @@ def test_refine_colors_match_unique_rows_on_relabeled_degree_one():
     shuffled = labels[np.ix_(perm, perm)]
     colors = _assert_same_colors(shuffled, np.zeros(len(labels), dtype=np.int64))
     for v in (0, 100, 239):
-        colors = _assert_same_colors(shuffled, _individualize(colors, v))
+        colors = _assert_same_colors(shuffled, colors, v)
 
 
 def test_refine_colors_match_unique_rows_past_one_byte():
@@ -223,6 +265,51 @@ def test_refine_colors_match_unique_rows_past_one_byte():
     labels = upper + upper.T - np.eye(300, dtype=upper.dtype)
     colors = _assert_same_colors(labels, np.zeros(300, dtype=np.int64))
     assert colors.max() > 255
+    for v in (0, 150, 299):
+        _assert_same_colors(labels, colors, v)
+
+
+def test_refine_at_a_vertex_with_edge_labels_on_the_diagonal():
+    # the refiner drops the last label here too, so the reference is the
+    # full-width rounds over its own masks, not the all-label refinement
+    labels = graph(5).labels.copy()
+    np.fill_diagonal(labels, np.random.default_rng(5).choice([-1, 1], size=len(labels)))
+
+    def full_width(labels, colors):
+        return _full_width_rounds(_Refiner(labels), colors)
+
+    uniform = _assert_same_colors(labels, np.zeros(len(labels), dtype=np.int64), reference=full_width)
+    for v in range(len(labels)):
+        colors = _assert_same_colors(labels, uniform, v, full_width)
+        for w in range(len(labels)):
+            _assert_same_colors(labels, colors, w, full_width)
+
+
+def test_refine_at_a_vertex_alone_in_its_cell():
+    # the middle vertex of the degree-7 path is alone in its cell, so the
+    # first round counts only against {v}, splits nothing and returns the
+    # rank of the individualized coloring
+    labels = graph(7).labels
+    uniform = _Refiner(labels).refine(np.zeros(3, dtype=np.int64))
+    assert np.count_nonzero(uniform == uniform[2]) == 1
+    colors = _assert_same_colors(labels, uniform, 2)
+    assert np.array_equal(colors, np.unique(_individualize(uniform, 2), return_inverse=True)[1])
+
+
+def test_search_results_match_full_width_rounds(monkeypatch):
+    def search():
+        gens = [automorphism_group.__wrapped__(graph(d)).generators for d in range(1, 8)]
+        labels = graph(1).labels
+        isos = []
+        for seed in range(5):
+            perm = np.random.default_rng(seed).permutation(len(labels))
+            isos.append(find_isomorphism(graph(1), labels[np.ix_(perm, perm)]))
+        return gens, isos
+
+    split_cells = search()
+    monkeypatch.setattr(_Refiner, "_rounds", _full_width_rounds)
+    assert search() == split_cells
+    assert all(iso is not None for iso in split_cells[1])
 
 
 def test_refiner_rejects_graphs_past_sixteen_bit_keys():
