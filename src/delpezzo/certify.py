@@ -33,7 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .incidence import double_sixes, image, incidence_graph, triple_nines, tritangent_triangles, weyl_image
+from .incidence import (double_sixes, image, incidence_graph, maps_labels, triple_nines, tritangent_triangles,
+                        weyl_image)
 from .lattice import DegreeContext, exceptional_classes
 from .permgroup import Permutation, cycle_type, fixed_points_of_power
 
@@ -407,11 +408,10 @@ def _excluding_place(
     return None
 
 
-def h1_certificate(places: tuple[PlaceEvidence, ...], table: ClassTable | None = None) -> Certificate:
+def h1_certificate(places: tuple[PlaceEvidence, ...], table: ClassTable) -> Certificate:
     """Triviality of the first cohomology from place evidence: excluding a
     stable double six kills the 2-part, excluding a componentwise-stable
     triple nine kills the 3-part, and the 5-part is never present."""
-    table = table or build_class_table()
     ds = _excluding_place(places, table, "DoubleSixStab")
     tn = _excluding_place(places, table, "TripleNineComponentwiseStab")
     if ds and tn:
@@ -431,12 +431,9 @@ def h1_certificate(places: tuple[PlaceEvidence, ...], table: ClassTable | None =
     return Certificate(INCONCLUSIVE, {}, table.content_hash)
 
 
-def subgroup_exclusion_certificate(
-    places: tuple[PlaceEvidence, ...], table: ClassTable | None = None
-) -> Certificate:
+def subgroup_exclusion_certificate(places: tuple[PlaceEvidence, ...], table: ClassTable) -> Certificate:
     """NotInListedSubgroups when every listed subgroup is excluded by some
     place; the claim is exactly non-containment in the listed subgroups."""
-    table = table or build_class_table()
     witnesses = {}
     for name in SUBGROUP_NAMES:
         place = _excluding_place(places, table, name)
@@ -454,8 +451,7 @@ def h1_cyclic_oracle(sigma: Permutation) -> tuple[int, ...]:
     group generated by an incidence-preserving permutation of the 27 classes,
     acting on the rank-7 lattice; () means trivial cohomology."""
     graph = incidence_graph(DegreeContext(3))
-    g = np.asarray(sigma)
-    if not np.array_equal(graph.labels[np.ix_(g, g)], graph.labels):
+    if not maps_labels(sigma, graph.labels, graph.labels):
         raise ValueError("permutation does not preserve the incidence labels")
     m = lattice_matrix(sigma).astype(object)
     order = math.lcm(*cycle_type(sigma))

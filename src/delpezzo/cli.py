@@ -319,9 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if min(getattr(args, "budget_points", 0), getattr(args, "budget_lines", 0)) < 0:
-        print(f"{args.command}: --budget-points and --budget-lines must be >= 0", file=sys.stderr)
-        return 2
+    for flag, dest in (("--budget-points", "budget_points"), ("--budget-lines", "budget_lines")):
+        value = getattr(args, dest, 0)
+        if value < 0:
+            print(f"{args.command}: {flag} must be >= 0, not {value}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (FieldSizeError, OSError) as exc:

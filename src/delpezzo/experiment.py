@@ -158,7 +158,7 @@ class ExperimentConfig:
         if self.point_budget < self.q**3:
             raise ValueError(f"point_budget (--budget-points) must be >= q^3 = {self.q**3}, not {self.point_budget}")
         if self.line_budget < 0:
-            raise ValueError("line budget must be >= 0")
+            raise ValueError(f"line_budget (--budget-lines) must be >= 0, not {self.line_budget}")
         places = len(places_up_to(base, self.max_place_degree, self.max_places))
         if places < self.min_usable_places:
             raise ValueError(f"{places} places of degree <= {self.max_place_degree} within max_places "

@@ -174,7 +174,7 @@ class _Refiner:
         n, n_counted = self.n, self.n_counted
         while True:
             if changed is None:
-                changed = np.unique(colors)
+                changed = np.flatnonzero(np.bincount(colors))
             k = len(changed)
             slot = np.full(int(colors.max()) + 1, -1)
             slot[changed] = np.arange(k)
@@ -199,15 +199,28 @@ class _Refiner:
 
 
 def _histograms_match(a: np.ndarray, b: np.ndarray) -> bool:
-    if int(a.max()) != int(b.max()):
-        return False
-    return np.array_equal(np.bincount(a), np.bincount(b))
+    return np.array_equal(np.bincount(a), np.bincount(b))  # of unequal length when the largest ids differ
 
 
 def _individualize(colors: np.ndarray, v: int) -> np.ndarray:
     out = colors.copy()
     out[v] = len(colors)  # fresh id, identical on both sides
     return out
+
+
+def _target_cell(colors: np.ndarray) -> np.ndarray | None:
+    """The vertices of the cell that a search splits, the smallest cell with
+    more than one vertex (the least color among equals), or None when every
+    cell is a singleton."""
+    counts = np.bincount(colors)
+    big = np.flatnonzero(counts > 1)
+    return np.flatnonzero(colors == big[np.argmin(counts[big])]) if len(big) else None
+
+
+def maps_labels(g, labels: np.ndarray, target: np.ndarray) -> bool:
+    """Whether labels[g[i], g[j]] == target[i, j] for every i, j: whether the
+    vertex map g from the graph of `target` to that of `labels` keeps labels."""
+    return bool(np.array_equal(labels[np.ix_(g, g)], target))
 
 
 def _match_search(
@@ -227,20 +240,13 @@ def _match_search(
     colors_cod = ref_cod.refine(colors_cod, u)
     if not _histograms_match(colors_dom, colors_cod):
         return None
-    n = len(colors_dom)
-    counts = np.bincount(colors_dom)
-    if counts.max() == 1:
-        g = np.empty(n, dtype=np.int64)
+    cell = _target_cell(colors_dom)
+    if cell is None:
+        g = np.empty(len(colors_dom), dtype=np.int64)
         g[np.argsort(colors_dom, kind="stable")] = np.argsort(colors_cod, kind="stable")
-        if np.array_equal(labels_cod[np.ix_(g, g)], labels_dom):
-            return tuple(int(x) for x in g)
-        return None
-    # split the smallest non-singleton cell
-    cell_color = min(
-        (int(c) for c in np.nonzero(counts > 1)[0]), key=lambda c: (counts[c], c)
-    )
-    v = int(np.nonzero(colors_dom == cell_color)[0][0])
-    for u in np.nonzero(colors_cod == cell_color)[0]:
+        return tuple(int(x) for x in g) if maps_labels(g, labels_cod, labels_dom) else None
+    v = int(cell[0])
+    for u in np.flatnonzero(colors_cod == colors_dom[v]):
         g = _match_search(
             ref_dom,
             ref_cod,
@@ -312,13 +318,9 @@ def automorphism_group(graph: IncidenceGraph) -> PermutationGroup:
 
     def collect(colors: np.ndarray, v: int | None = None) -> None:
         colors = refiner.refine(colors, v)
-        counts = np.bincount(colors)
-        if counts.max() == 1:
+        cell = _target_cell(colors)
+        if cell is None:
             return
-        cell_color = min(
-            (int(c) for c in np.nonzero(counts > 1)[0]), key=lambda c: (counts[c], c)
-        )
-        cell = np.nonzero(colors == cell_color)[0]
         v = int(cell[0])
         collect(colors, v)
         orbit = _orbit(v, gens)

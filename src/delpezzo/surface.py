@@ -17,8 +17,9 @@ counter order is moved to (0, 0, 0, 1) by a change of coordinates over the
 base field, so that F = G0 + w G1 + w^2 G2.  Every other point is (v, s) on
 the line through P and a point v of the plane w = 0, with s a root of
 G0(v) + s G1(v) + s^2 G2(v): #X = 1 + the sum of those root counts over
-P^2(F_Q), read from an F_2-trace table in characteristic 2 and from the
-parity of the discriminant's log otherwise, with Q for a line on X.
+P^2(F_Q), with Q for a line on X.  One rule counts the roots of a quadratic
+(`_root_counts`), from one table per field of the roots of t^2 + t = c in
+characteristic 2 and of t^2 = c otherwise (`_root_table`).
 
 Lines are canonical 2x4 reduced row-echelon matrices.  The line through rows
 A and B lies on the surface when the four coefficients of F(sA + tB) vanish:
@@ -27,10 +28,11 @@ identity in every characteristic, so the test is exact over small fields too.
 A scan searches only the plane x0 = 0, which holds every second row B, and
 solves for the first rows: the polar sum_v A_v dF/dv(B) is linear in A, so A
 runs over a point or an affine line A0 + s D; along it the other polar is a
-quadratic in s, whose roots come from one table per field (`_root_table`);
-F(A) is checked at those roots.  A vacuous linear condition expands into q
-line rows and a quadratic that vanishes identically into q point rows, so
-singular and reducible forms are scanned exactly too.
+quadratic in s, whose roots come from the same table and whose number is the
+same count (`_polar_roots`); F(A) is checked at those roots.  A vacuous
+linear condition expands into q line rows and a quadratic that vanishes
+identically into q point rows, so singular and reducible forms are scanned
+exactly too.
 
 Smoothness is decided exactly, by one rank over F_q (`smoothness_certificate`).
 The surface is singular exactly where F and its four partials have a common
@@ -80,7 +82,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .gf import TABLE_FIELD_CAP, Element, FieldSpec, embed, field
-from .permgroup import fixed_points_of_power
 
 
 @lru_cache(maxsize=None)
@@ -92,9 +93,8 @@ def _monomials(degree: int) -> tuple[tuple[int, int, int, int], ...]:
 
 MONOMIALS = _monomials(3)
 
-#: permissive default work budgets; drivers usually pass something smaller
+#: the default budget of the reference search `singular_point`
 DEFAULT_POINT_BUDGET = 10**9
-DEFAULT_LINE_BUDGET = 10**8
 
 
 class NotSmoothOrBadReduction(RuntimeError):
@@ -219,11 +219,6 @@ def _eval_forms(tab, forms: tuple, coords: list) -> np.ndarray:
     return (np.add.reduceat(tab.COORDS[values], starts, axis=0) % tab.fs.p) @ tab.PPOW
 
 
-def _eval_terms_batch(tab, terms, coords: list) -> np.ndarray:
-    """The form with the given terms at the points `coords` (`_eval_forms`)."""
-    return _eval_forms(tab, (tuple(terms),), coords)[0]
-
-
 @lru_cache(maxsize=1024)
 def _powers(terms: tuple, axis: int) -> tuple:
     """The terms of G_0, ..., G_3 in F = sum_k T^k G_k, T the coordinate `axis`."""
@@ -268,6 +263,10 @@ def _zeros(tab, terms, chunks) -> list[np.ndarray]:
 #: int64); with 2 and 8 MB temporaries the density benchmark's job took about
 #: 15k minor page faults, with 256 KB about 300 (glibc malloc, Linux)
 SCAN_CHUNK = 1 << 15
+
+#: rows per slice of `_lines_through`, whose largest temporary holds the
+#: points A0, D and A0 + D of each row: 12 elements a row
+SOLVE_STEP = SCAN_CHUNK // 12
 
 
 def _grid(q: int, pivot: int, free):
@@ -326,7 +325,7 @@ def _move(form: CubicForm, point) -> tuple[Element, ...]:
     for i, grad in enumerate(form.gradient_terms):
         for c, e in grad:
             put(fs.mul(point[i], c), e, 1)
-        put(int(_eval_terms_batch(fs.tables, grad, at_point)[0]), tuple(int(v == i) for v in range(4)), 2)
+        put(int(_eval_forms(fs.tables, (grad,), at_point)[0, 0]), tuple(int(v == i) for v in range(4)), 2)
     return tuple(out[e] for e in MONOMIALS)
 
 
@@ -405,7 +404,7 @@ def singular_point(
         pts = _zeros(tab, ext.terms, _strata(ext.field.order))
         singular = np.ones(len(pts[3]), dtype=bool)
         for g_terms in ext.gradient_terms:
-            singular &= _eval_terms_batch(tab, g_terms, pts) == 0
+            singular &= _eval_forms(tab, (g_terms,), pts)[0] == 0
         hits = np.flatnonzero(singular)
         if len(hits):
             return m, tuple(int(p[hits[0]]) for p in pts)
@@ -439,16 +438,9 @@ def lines_on_surface(form: CubicForm) -> list[LineInP3]:
     q = fs.order
     plane = (chunk for lead in (1, 2, 3) for chunk in _grid(q, lead, range(lead + 1, 4)))
     zeros = _zeros(fs.tables, form.terms, plane)
-    step = _solve_step()
-    out = [line for lo in range(0, len(zeros[0]), step)
-           for line in _lines_through(form, [z[lo:lo + step] for z in zeros])]
+    out = [line for lo in range(0, len(zeros[0]), SOLVE_STEP)
+           for line in _lines_through(form, [z[lo:lo + SOLVE_STEP] for z in zeros])]
     return sorted(out, key=lambda line: (line.pivots, line.row1, line.row2))
-
-
-def _solve_step() -> int:
-    """Rows per slice of `_lines_through`, whose largest temporary holds the
-    points A0, D and A0 + D of each row: 12 elements a row."""
-    return max(1, SCAN_CHUNK // 12)
 
 
 #: per pivot pair (i, j), the free coordinates of the first row (v > i,
@@ -459,14 +451,13 @@ _FREE = np.array([[([4, 4] + [v for v in range(i + 1, 4) if v != j])[-2:] for j 
 
 def _expand(counts: np.ndarray):
     """(row, k) for every row and every k < counts[row], row-major, in slices
-    of at most `_solve_step()` pairs (a longer row in a slice of its own);
-    empty slices are skipped."""
-    size = _solve_step()
+    of at most SOLVE_STEP pairs (a longer row in a slice of its own); empty
+    slices are skipped."""
     ends = np.cumsum(counts)
     starts = ends - counts
     lo = 0
     while lo < len(counts):
-        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + size, side="right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + SOLVE_STEP, side="right")))
         rows = np.repeat(np.arange(lo, hi), counts[lo:hi])
         if len(rows):
             yield rows, np.arange(starts[lo], ends[hi - 1]) - starts[rows]
@@ -527,7 +518,7 @@ def _lines_through(form: CubicForm, b: list[np.ndarray]) -> list[LineInP3]:
         for r2, k in _expand(roots):
             s = np.where(k == 0, s1[r2], np.where(k == 1, s2[r2], k))
             rows = tab.add(a0[:, r2], tab.mul(s, dd[:, r2]))
-            for h in np.flatnonzero(_eval_terms_batch(tab, form.terms, rows) == 0):
+            for h in np.flatnonzero(_eval_forms(tab, (form.terms,), rows)[0] == 0):
                 row = r[r2[h]]
                 out.append(LineInP3(fs, (int(ri[row]), int(rj[row])), tuple(int(x) for x in rows[:, h]),
                                     tuple(int(z[rb[row]]) for z in b)))
@@ -536,9 +527,9 @@ def _lines_through(form: CubicForm, b: list[np.ndarray]) -> list[LineInP3]:
 
 def _polar_roots(tab, k0, k1, k2, line):
     """Elementwise, the roots s in the field of k0 + k1 s + k2 s^2, as (s1,
-    s2, count), s1 the first of count roots.  Where all three vanish every s
-    is a root: count is the field order on a line row (s1, s2 = 0, 1, and k
-    for the k-th root), 1 on a point row (`line` False)."""
+    s2, count), s1 the first of count roots (`_root_counts`).  Where all three
+    vanish every s is a root: count is the field order on a line row (s1, s2 =
+    0, 1, and k for the k-th root), 1 on a point row (`line` False)."""
     fs = tab.fs
     q = fs.order
     roots = _root_table(fs)
@@ -556,19 +547,16 @@ def _polar_roots(tab, k0, k1, k2, line):
         root = np.where(square == 0, 0, EXP[LOG[square] * (q // 2) % (q - 1)])
         s1 = np.where(k1 != 0, tab.mul(ratio, np.maximum(t, 0)), root)
         s2 = tab.add(s1, ratio)
-        quadratic = np.where(k1 == 0, 1, np.where(t >= 0, 2, 0))
     else:
         # s = (-k1 +- r) / (2 k2) with r^2 = k1^2 - 4 k0 k2
-        r = roots[tab.add(tab.mul(k1, k1), NEG[EXP[int(LOG[fs.scalar(4)]) + LOG[k0] + LOG[k2]]])]
+        r = np.maximum(roots[tab.add(tab.mul(k1, k1), NEG[EXP[int(LOG[fs.scalar(4)]) + LOG[k0] + LOG[k2]]])], 0)
         two_k2 = EXP[int(LOG[fs.scalar(2)]) + LOG[k2]]
-        s1 = over(tab.add(NEG[k1], np.maximum(r, 0)), two_k2)
-        s2 = over(tab.add(NEG[k1], NEG[np.maximum(r, 0)]), two_k2)
-        quadratic = np.where(r > 0, 2, r + 1)
-    vanishing = np.where(k0 != 0, 0, np.where(line, q, 1))
-    count = np.where(k2 != 0, quadratic, np.where(k1 != 0, 1, vanishing))
+        s1 = over(tab.add(NEG[k1], r), two_k2)
+        s2 = over(tab.add(NEG[k1], NEG[r]), two_k2)
     s1 = np.where(k2 != 0, s1, np.where(k1 != 0, NEG[over(k0, k1)], 0))
     s2 = np.where(k2 != 0, s2, 1)
-    return s1, s2, count
+    point = ~line & (k0 == 0) & (k1 == 0) & (k2 == 0)
+    return s1, s2, np.where(point, 1, _root_counts(tab, k0, k1, k2))
 
 
 # -- traces and certificates ---------------------------------------------
@@ -583,9 +571,7 @@ def _weil_trace(count: int, q: int, m: int) -> int:
     return t
 
 
-def trace_sequence(
-    form: CubicForm, m_max: int, budget: int = DEFAULT_POINT_BUDGET
-) -> tuple[int, ...]:
+def trace_sequence(form: CubicForm, m_max: int, budget: int) -> tuple[int, ...]:
     """t_m = (#X(F_{q^m}) - q^{2m} - 1) / q^m for m = 1..m_max, stopping
     before the first m that the point gate (`_fits`) refuses."""
     q = form.field.order
@@ -857,41 +843,31 @@ class FrobeniusEvidence:
         }
 
 
-def _matching_classes(class_table, counts: dict[int, int], traces: dict[int, int]):
-    out = []
-    for row in class_table.rows:
-        if any(fixed_points_of_power(row.cycle_type, m) != c for m, c in counts.items()):
-            continue
-        if any(1 + row.lattice_traces[m - 1] != t for m, t in traces.items()):
-            continue
-        out.append(row.class_id)
-    return out
-
-
-def frobenius_class(
-    form: CubicForm,
-    class_table,
-    point_budget: int = DEFAULT_POINT_BUDGET,
-    line_budget: int = DEFAULT_LINE_BUDGET,
-) -> FrobeniusEvidence:
+def frobenius_class(form: CubicForm, class_table, point_budget: int, line_budget: int) -> FrobeniusEvidence:
     """Every conjugacy class consistent with the rational-line counts over the
     extensions and traces within budget; raises when no class fits.
 
     Evidence is gathered adaptively, shallow extensions first, and stops as
     soon as a single class remains: the ambiguity set always contains the true
-    class of a smooth reduction, so early singletons are exact."""
+    class of a smooth reduction, so early singletons are exact.  Over GF(q^m)
+    a class predicts the `fixed_lines[m - 1]` lines and the trace 1 +
+    `lattice_traces[m - 1]` of its class-table row (Swinnerton-Dyer's table
+    of the 25 classes), and each measurement keeps the classes that predict
+    it."""
     q = form.field.order
+    rows = class_table.rows
     counts: dict[int, int] = {}
     traces: dict[int, int] = {}
-    candidates = _matching_classes(class_table, counts, traces)
-    for m in range(1, len(class_table.rows[0].lattice_traces) + 1):
+    candidates = [row.class_id for row in rows]
+    for m in range(1, len(rows[0].lattice_traces) + 1):
         if len(candidates) == 1:
             break
         if _fits(q, m, 4, line_budget):
             counts[m] = len(lines_on_surface(form.extend(m)))
+            candidates = [c for c in candidates if rows[c].fixed_lines[m - 1] == counts[m]]
         if _fits(q, m, 3, point_budget):
             traces[m] = _weil_trace(count_points(form.extend(m)), q, m)
-        candidates = _matching_classes(class_table, counts, traces)
+            candidates = [c for c in candidates if 1 + rows[c].lattice_traces[m - 1] == traces[m]]
         if not candidates:
             raise NotSmoothOrBadReduction("no conjugacy class matches the evidence")
     trace_tuple = tuple(traces[m] for m in sorted(traces))

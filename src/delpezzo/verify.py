@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-import numpy as np
-
 from .lattice import CLASS_COUNTS, DegreeContext, blow_down_map, exceptional_classes
 from .permgroup import PermutationGroup
 from . import incidence
-from .incidence import automorphism_group, incidence_graph, weyl_image
+from .incidence import automorphism_group, incidence_graph, maps_labels, weyl_image
 
 #: symmetry-group orders for degrees 1..7
 AUT_ORDERS = {
@@ -53,11 +51,6 @@ class Check:
         }
 
 
-def _is_label_preserving(graph: incidence.IncidenceGraph, perm) -> bool:
-    g = np.asarray(perm)
-    return bool(np.array_equal(graph.labels[np.ix_(g, g)], graph.labels))
-
-
 def verify_table1(degrees: Iterable[int] = range(1, 8)) -> list[Check]:
     """Class counts and symmetry orders for the given degrees (default all).
 
@@ -81,7 +74,7 @@ def verify_table1(degrees: Iterable[int] = range(1, 8)) -> list[Check]:
             Check(
                 f"W generators preserve the degree-{d} labels",
                 True,
-                all(_is_label_preserving(graph, g) for g in w.generators),
+                all(maps_labels(g, graph.labels, graph.labels) for g in w.generators),
                 d,
             )
         )
@@ -143,7 +136,7 @@ def stabilizer_chain_check(d: int) -> list[Check]:
     all_good = True
     for g in stab.generators:
         q = transport(g)
-        if q is None or not _is_label_preserving(up_graph, q):
+        if q is None or not maps_labels(q, up_graph.labels, up_graph.labels):
             all_good = False
             break
         transported.append(q)

@@ -380,7 +380,7 @@ def test_cli_density_rejects_a_negative_budget(capsys, monkeypatch):
         assert main(["density", "-q", "2", "-N", "1", "-D", "1", flag, "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("density: ") and captured.err.count("\n") == 1
+        assert captured.err == f"density: {flag} must be >= 0, not -1\n"
 
 
 def test_cli_surface_rejects_a_negative_budget(tmp_path, capsys, monkeypatch):
@@ -396,7 +396,7 @@ def test_cli_surface_rejects_a_negative_budget(tmp_path, capsys, monkeypatch):
         assert main(["surface", str(src), flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("surface: ") and captured.err.count("\n") == 1
+        assert captured.err == f"surface: {flag} must be >= 0, not {value}\n"
 
 
 def test_cli_tables(tmp_path):

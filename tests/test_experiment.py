@@ -186,8 +186,9 @@ def test_invalid_configs_rejected():
         ExperimentConfig(q=2, degree_bounds=(1, -1)).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(q=2, min_usable_places=0).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as line_budget:
         ExperimentConfig(q=2, line_budget=-1).validate()
+    assert str(line_budget.value) == "line_budget (--budget-lines) must be >= 0, not -1"
 
 
 def test_too_few_places_for_a_usable_sample_is_an_invalid_config():

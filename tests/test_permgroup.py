@@ -320,14 +320,20 @@ def test_element_array_stays_small():
 
 def test_the_library_leaves_numpy_ma_unimported():
     # a plain np.unique(x) imports numpy.ma, 16 ms and 1.6 MB resident on its
-    # first call; every library call passes return_counts or return_index
+    # first call; every library call passes return_counts, return_index or
+    # return_inverse.  The class table, a density run, an automorphism search
+    # (which refines the all-zero coloring) and an isomorphism search
     code = (
         "import sys\n"
         "import delpezzo.cli\n"
         "from delpezzo.certify import build_class_table\n"
         "from delpezzo.experiment import ExperimentConfig, run_density\n"
+        "from delpezzo.incidence import automorphism_group, find_isomorphism, incidence_graph\n"
+        "from delpezzo.lattice import DegreeContext\n"
         "build_class_table()\n"
         "run_density(ExperimentConfig(degree_bounds=(1,), samples_per_degree=1, seed='ma'))\n"
+        "automorphism_group(incidence_graph(DegreeContext(7)))\n"
+        "find_isomorphism(incidence_graph(DegreeContext(6)), incidence_graph(DegreeContext(6)))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -165,9 +165,9 @@ def test_trace_sequence_rejects_singular():
 def test_trace_sequence_and_frobenius_class_share_the_weil_check():
     xyz = CubicForm.from_ints(F7, [int(e == (1, 1, 1, 0)) for e in MONOMIALS])
     with pytest.raises(NotSmoothOrBadReduction) as traces:
-        trace_sequence(xyz, 2)
+        trace_sequence(xyz, 2, budget=10**9)
     with pytest.raises(NotSmoothOrBadReduction) as evidence:
-        frobenius_class(xyz, build_class_table())
+        frobenius_class(xyz, build_class_table(), point_budget=10**9, line_budget=10**8)
     # three planes: 3 q^2 + 1 points, so t_1 = 2q = 14 is out of range
     assert str(traces.value) == str(evidence.value) == "point count 148 over GF(7^1) violates the Weil shape"
 
@@ -219,7 +219,7 @@ def test_frobenius_class_refuses_certified_nonsmooth():
     table = build_class_table()
     assert smoothness_certificate(cone_f7()).status == NOT_SMOOTH
     with pytest.raises(NotSmoothOrBadReduction, match="no conjugacy class"):
-        frobenius_class(cone_f7(), table)
+        frobenius_class(cone_f7(), table, point_budget=10**9, line_budget=10**8)
 
 
 def test_identity_class_surfaces_have_trace_seven():

@@ -18,6 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from frobenius import matching_classes
 from plucker import line_intersection_labels
 
 from delpezzo import surface
@@ -28,12 +29,14 @@ from delpezzo.surface import (
     CubicForm,
     LineInP3,
     _count_through_point,
-    _eval_terms_batch,
+    _eval_forms,
     _grid,
     _move,
+    _polar_roots,
     _strata,
     NotSmoothOrBadReduction,
     SCAN_CHUNK,
+    SOLVE_STEP,
     SMOOTH_CERTIFIED,
     count_points,
     frobenius_class,
@@ -111,15 +114,15 @@ def test_eval_terms_batch_matches_evaluate_everywhere(fs):
     for form in seeded_forms(fs):
         terms = form.terms
         arrays = [np.array([p[v] for p in pts], dtype=np.int64) for v in range(4)]
-        got = _eval_terms_batch(tab, terms, arrays)
+        got = _eval_forms(tab, (terms,), arrays)[0]
         assert got.tolist() == [slow_value(form, p) for p in pts]
         # scalar coordinates, alone and mixed with arrays
         for p in pts[:: max(1, len(pts) // 60)] + [(0, 0, 0, 0), (1, 0, 0, 0)]:
             want = slow_value(form, p)
             scalars = [np.int64(x) for x in p]
-            assert _eval_terms_batch(tab, terms, scalars).tolist() == [want]
+            assert _eval_forms(tab, (terms,), scalars)[0].tolist() == [want]
             mixed = scalars[:2] + [np.array([p[2]] * 2), np.array([p[3]] * 2)]
-            assert _eval_terms_batch(tab, terms, mixed).tolist() == [want] * 2
+            assert _eval_forms(tab, (terms,), mixed)[0].tolist() == [want] * 2
 
 
 def test_log_tables_cover_four_zero_factors():
@@ -218,7 +221,7 @@ def all_points(fs):
 
 def direct_count(form):
     """The zeros of the form among all points of P^3, by direct evaluation."""
-    values = _eval_terms_batch(form.field.tables, form.terms, all_points(form.field))
+    values = _eval_forms(form.field.tables, (form.terms,), all_points(form.field))[0]
     return int(np.count_nonzero(values == 0))
 
 
@@ -367,9 +370,35 @@ def test_lines_on_surface_matches_full_expansion(fs, monkeypatch):
         want = old_lines_on_surface(form)
         assert lines_on_surface(form) == want
         monkeypatch.setattr(surface, "SCAN_CHUNK", 3)
+        monkeypatch.setattr(surface, "SOLVE_STEP", 1)
         assert lines_on_surface(form) == want
         monkeypatch.setattr(surface, "SCAN_CHUNK", SCAN_CHUNK)
+        monkeypatch.setattr(surface, "SOLVE_STEP", SOLVE_STEP)
     assert taken == SOLVER_BRANCHES
+
+
+#: every field of order at most 9 but GF(7)
+QUADRATIC_FIELDS = [field(2), field(3), field(2, 2), field(5), field(2, 3), field(3, 2)]
+
+
+@pytest.mark.parametrize("fs", QUADRATIC_FIELDS, ids=repr)
+def test_polar_root_count_matches_brute_force(fs):
+    # every quadratic k0 + k1 s + k2 s^2 over the field, on line rows and on
+    # point rows: the count is the number of roots s in the field, except on
+    # a point row with all three coefficients 0, which is one point
+    q = fs.order
+    k0, k1, k2 = (np.array(c, dtype=np.int64) for c in zip(*itertools.product(range(q), repeat=3)))
+    roots = [[s for s in range(q) if fs.add(fs.add(a, fs.mul(b, s)), fs.mul(c, fs.mul(s, s))) == 0]
+             for a, b, c in zip(k0.tolist(), k1.tolist(), k2.tolist())]
+    want = np.array([len(r) for r in roots])
+    vanishing = (k0 == 0) & (k1 == 0) & (k2 == 0)
+    for line in (True, False):
+        s1, s2, count = _polar_roots(fs.tables, k0, k1, k2, np.full(len(k0), line))
+        assert count.tolist() == np.where(vanishing & (not line), 1, want).tolist()
+        # s1 and s2 are the roots of a quadratic that does not vanish
+        for i, r in enumerate(roots):
+            if not vanishing[i] and count[i]:
+                assert sorted({int(s1[i]), int(s2[i])} if count[i] == 2 else {int(s1[i])}) == r
 
 
 def frobenius_line(line, q):
@@ -558,3 +587,26 @@ def test_memo_does_not_change_results(fs):
         other = CubicForm(fs, form.coeffs)
         evidence = evidence_of(other, table)
         assert (traces_of(other), evidence) == fresh
+
+
+def test_frobenius_class_matches_the_cycle_type_reference():
+    # seeded smooth forms, with the budgets of the `surface` command and with
+    # budgets that stop at the base field (wide ambiguity sets): the classes
+    # read from the class table are those the cycle types predict
+    table = build_class_table()
+    sizes = set()
+    for fs in (field(2), field(2, 2), field(5), field(7)):
+        rng = random.Random(f"frobenius/{fs!r}")
+        q = fs.order
+        smooth = 0
+        while smooth < 6:
+            form = CubicForm.from_ints(fs, [rng.randrange(q) for _ in range(20)])
+            if smoothness_certificate(form).status != SMOOTH_CERTIFIED:
+                continue
+            smooth += 1
+            for budgets in ((POINT_BUDGET, LINE_BUDGET), (q**3, 0), (0, q**4)):
+                ev = frobenius_class(form, table, *budgets)
+                traces = {m: t for m, t in enumerate(ev.traces, start=1)}
+                assert list(ev.class_ids) == matching_classes(table, ev.line_counts, traces)
+                sizes.add(len(ev.class_ids))
+    assert 1 in sizes and max(sizes) > 1
