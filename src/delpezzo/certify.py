@@ -8,7 +8,10 @@ sizes), the cycle-type sets of the classical stabilizer subgroups, and the
 certificates built on them.  The families whose stabilizers these are (lines,
 double sixes, tritangent triangles, triple nines) come from `incidence`, the
 double sixes and nines from the E6 roots; a member is a set of line sets, and
-a permutation fixes it when `incidence.image` maps it to itself.
+a permutation fixes it when it maps each of the member's line sets onto one
+of them (onto itself, for a componentwise fixed triple nine).  One count,
+`_fixed_members`, applies that rule to the class table and to the oracle's
+cross-check.
 
 Soundness of the exclusion logic: if the Galois image stabilizes some double
 six, every Frobenius element fixes that double six, so its class is one whose
@@ -33,8 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .incidence import (double_sixes, image, incidence_graph, maps_labels, triple_nines, tritangent_triangles,
-                        weyl_image)
+from .incidence import double_sixes, incidence_graph, maps_labels, triple_nines, tritangent_triangles, weyl_image
 from .lattice import DegreeContext, exceptional_classes
 from .permgroup import Permutation, cycle_type, fixed_points_of_power
 
@@ -255,10 +257,10 @@ SUBGROUP_NAMES = (
 def _fixed_members(rows: np.ndarray, family: list[frozenset[frozenset[int]]],
                    componentwise: bool = False) -> list[int]:
     """Per line permutation in `rows`, the number of members of `family` it
-    fixes, as `image` would count them: each member's blocks, disjoint line
-    sets of one size, must go to blocks of the member (to themselves when
-    `componentwise`).  One gather of the family's line arrays through the
-    rows, then one of the block that each image line lies in."""
+    fixes, as `incidence.image` would count them: each member's blocks,
+    disjoint line sets of one size, must go to blocks of the member (to
+    themselves when `componentwise`).  One gather of the family's line arrays
+    through the rows, then one of the block that each image line lies in."""
     blocks = np.array([sorted(sorted(b) for b in member) for member in family])  # (members, blocks, size)
     members, count, _ = blocks.shape
     member = np.arange(members)[:, None, None]
@@ -477,15 +479,14 @@ def oracle_cross_validation(table: ClassTable | None = None) -> list[dict]:
     stable triple nine for a 3-part) actually occur."""
     table = table or build_class_table()
     graph = incidence_graph(DegreeContext(3))
-    ds_blocks = [d.blocks for d in double_sixes(graph)]
-    tn_parts = [[frozenset({p}) for p in t.blocks] for t in triple_nines(graph)]
+    reps = np.array([row.representative for row in table.rows])
+    ds_fixed = _fixed_members(reps, [d.blocks for d in double_sixes(graph)])
+    tn_fixed = _fixed_members(reps, [t.blocks for t in triple_nines(graph)], componentwise=True)
     out = []
-    for row in table.rows:
+    for row, ds, tn in zip(table.rows, ds_fixed, tn_fixed):
         invs = h1_cyclic_oracle(row.representative)
         h1_order = math.prod(invs) if invs else 1
-        g = row.representative
-        stabilizes_ds = any(image(g, b) == b for b in ds_blocks)
-        stabilizes_tn = any(all(image(g, p) == p for p in ps) for ps in tn_parts)
+        stabilizes_ds, stabilizes_tn = ds > 0, tn > 0
         out.append(
             {
                 "class_id": row.class_id,

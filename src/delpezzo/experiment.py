@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .certify import (
@@ -166,20 +166,9 @@ class ExperimentConfig:
                              f"every sample would be skipped")
 
     def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "degree_bounds": list(self.degree_bounds),
-            "samples_per_degree": self.samples_per_degree,
-            "max_place_degree": self.max_place_degree,
-            "max_places": self.max_places,
-            "min_usable_places": self.min_usable_places,
-            "point_budget": self.point_budget,
-            "line_budget": self.line_budget,
-            "seed": self.seed,
-            # a sample always stops once both certificates hold; the key stays
-            # so that reports keep their bytes
-            "early_stop": True,
-        }
+        # a sample always stops once both certificates hold; the key stays so
+        # that reports keep their bytes
+        return {**asdict(self), "early_stop": True}
 
 
 @dataclass

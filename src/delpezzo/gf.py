@@ -7,19 +7,21 @@ significant).  An element is its counter encoding: the Python int whose
 base-p digits are its coordinates over F_p, constant digit least significant,
 which fixes a deterministic total order on each field.
 
-Sums are digit-wise (XOR in characteristic 2).  Products, powers and inverses
-read the field's log/exp tables (`FieldSpec.tables`, built on first use from
-the least primitive element), which every field has: `field` and
-`monic_irreducibles` refuse orders above TABLE_FIELD_CAP.  The same tables
-serve the vectorized kernels of `surface`.
+All arithmetic reads the field's tables (`FieldSpec.tables`, built on first
+use from the least primitive element), which every field has: `field` and
+`monic_irreducibles` refuse orders above TABLE_FIELD_CAP.  Sums are
+`_Tables.add` (XOR in characteristic 2, digit by digit otherwise), negatives
+are NEG, and products, powers and inverses read the log/exp tables.  The
+same rules serve scalars here and the vectorized kernels of `surface`.
 
 Polynomial arithmetic is one layer over the prime field, on digit lists with
 the constant term first (`_pmul`, `_pmod`, `_pgcd`, `_ppowmod`).  One
 irreducibility test (`_prime_poly_irreducible`, in counter order) gives both
-the moduli of `field` and the places of F_p(u) (`monic_irreducibles`), and
-one least-root search (`_least_root`, Horner's rule on every element of the
-destination at once) gives both the root that fixes an embedding and the
-root at which a place specializes a form.  `UniPoly` only holds and
+the moduli of `field` and the places of F_p(u) (`monic_irreducibles`).  One
+Horner's rule (`_horner`, at one element or at every element of a field at
+once) evaluates a `UniPoly` and an `Embedding`, and drives the one least-root
+search (`_least_root`), which gives both the root that fixes an embedding and
+the root at which a place specializes a form.  `UniPoly` only holds and
 evaluates a place or a coefficient.
 
 Cross-field comparisons always go through explicit embeddings (the least root
@@ -146,16 +148,21 @@ def _irreducible_digits(p: int, degree: int) -> Iterator[list[int]]:
             yield coeffs
 
 
+def _horner(tab: _Tables, coeffs, x):
+    """The polynomial with coefficients `coeffs` (constant term first) at x,
+    by Horner's rule on the field's tables: x is one encoding or an array."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = tab.add(tab.mul(acc, x), c)
+    return acc
+
+
 def _least_root(coeffs, dst: FieldSpec) -> Element:
     """The least element of dst at which the polynomial with prime-field
     digits `coeffs` (constant term first, encoded alike in dst) vanishes:
     Horner's rule on every element of dst at once."""
-    tab = dst.tables
-    x = np.arange(dst.order, dtype=np.int64)
-    acc = np.zeros_like(x)
-    for c in reversed(coeffs):
-        acc = tab.add(tab.mul(acc, x), c)
-    return int(np.flatnonzero(acc == 0)[0])
+    values = _horner(dst.tables, coeffs, np.arange(dst.order, dtype=np.int64))
+    return int(np.flatnonzero(values == 0)[0])
 
 
 class _Tables:
@@ -202,7 +209,7 @@ class _Tables:
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.COORDS is None:
-            return np.bitwise_xor(a, b)
+            return a ^ b
         # digit by digit: (a // p^i + b // p^i) % p is the i-th digit of the sum
         return sum((a // w + b // w) % self.fs.p * w for w in self.PPOW)
 
@@ -251,25 +258,14 @@ class FieldSpec:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _digitwise(self, a: Element, b: Element, sign: int) -> Element:
-        """a + sign * b, coordinate by coordinate mod p."""
-        p = self.p
-        out, place = 0, 1
-        while a or b:
-            a, x = divmod(a, p)
-            b, y = divmod(b, p)
-            out += (x + sign * y) % p * place
-            place *= p
-        return out
-
     def add(self, a: Element, b: Element) -> Element:
-        return a ^ b if self.p == 2 else self._digitwise(a, b, 1)
+        return int(self.tables.add(a, b))
 
     def sub(self, a: Element, b: Element) -> Element:
-        return a ^ b if self.p == 2 else self._digitwise(a, b, -1)
+        return self.add(a, self.neg(b))
 
     def neg(self, a: Element) -> Element:
-        return a if self.p == 2 else self._digitwise(0, a, -1)
+        return int(self.tables.NEG[a])
 
     def mul(self, a: Element, b: Element) -> Element:
         tab = self.tables
@@ -322,7 +318,7 @@ class Embedding:
 
     def __call__(self, e: Element) -> Element:
         """The coordinate polynomial sum_i e_i x^i of e, evaluated at root."""
-        return UniPoly.make(self.dst, _digits(e, self.src.p, self.src.k)).evaluate(self.root)
+        return int(_horner(self.dst.tables, _digits(e, self.src.p, self.src.k), self.root))
 
 
 @lru_cache(maxsize=None)
@@ -370,11 +366,7 @@ class UniPoly:
 
     def evaluate(self, x: Element) -> Element:
         """Horner evaluation at x."""
-        fs = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = fs.add(fs.mul(acc, x), c)
-        return acc
+        return int(_horner(self.field.tables, self.coeffs, x))
 
 
 def monic_irreducibles(fs: FieldSpec, degree: int) -> list[UniPoly]:

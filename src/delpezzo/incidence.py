@@ -27,7 +27,7 @@ permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .lattice import (
     roots,
     simple_roots,
 )
-from .permgroup import Permutation, PermutationGroup
+from .permgroup import Permutation, PermutationGroup, _orbit
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,18 +289,6 @@ def find_isomorphism(a: IncidenceGraph | np.ndarray, b: IncidenceGraph | np.ndar
     )
 
 
-def _orbit(v: int, gens: list[Permutation]) -> set[int]:
-    orbit = {v}
-    queue = [v]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            if g[x] not in orbit:
-                orbit.add(g[x])
-                queue.append(g[x])
-    return orbit
-
-
 @lru_cache(maxsize=None)
 def automorphism_group(graph: IncidenceGraph) -> PermutationGroup:
     """The full group of label-preserving vertex permutations.
@@ -323,7 +311,7 @@ def automorphism_group(graph: IncidenceGraph) -> PermutationGroup:
             return
         v = int(cell[0])
         collect(colors, v)
-        orbit = _orbit(v, gens)
+        orbit = _orbit(v, [g.__getitem__ for g in gens])
         for u in cell[1:]:
             if int(u) in orbit:
                 continue
@@ -339,7 +327,7 @@ def automorphism_group(graph: IncidenceGraph) -> PermutationGroup:
             )
             if g is not None:
                 gens.append(g)
-                orbit = _orbit(v, gens)
+                orbit = _orbit(v, [g.__getitem__ for g in gens])
 
     collect(np.zeros(n, dtype=np.int64))
     return PermutationGroup(n, gens)
@@ -482,22 +470,16 @@ def orbit_of_structures(
     """Partition family members (sets of line sets) into orbits under the group
     generators, each moved by `image`.  Returns a mapping from member to orbit
     id."""
+    moves = [partial(image, g) for g in group.generators]
+    known = set(structures)
     ids = {}
     next_id = 0
-    known = set(structures)
     for s in structures:
         if s in ids:
             continue
-        ids[s] = next_id
-        queue = [s]
-        while queue:
-            x = queue.pop()
-            for g in group.generators:
-                y = image(g, x)
-                if y not in known:
-                    raise ValueError("group does not preserve the structure list")
-                if y not in ids:
-                    ids[y] = next_id
-                    queue.append(y)
+        orbit = _orbit(s, moves)
+        if not orbit <= known:
+            raise ValueError("group does not preserve the structure list")
+        ids.update(dict.fromkeys(orbit, next_id))
         next_id += 1
     return ids

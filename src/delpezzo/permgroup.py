@@ -111,6 +111,21 @@ def fixed_points_of_power(ct: CycleType, m: int) -> int:
     return sum(c for c in ct if m % c == 0)
 
 
+def _orbit(start, maps) -> set:
+    """The closure of {start} under the callables `maps`: points under
+    permutations, or family members under `incidence.image`."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        x = todo.pop()
+        for f in maps:
+            y = f(x)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
 class _Level:
     """One level of the stabilizer chain: a base point, the strong generators
     assigned here, and the transversal u_x with u_x[point] = x (all encoded)."""
@@ -226,16 +241,7 @@ class PermutationGroup:
     def orbit(self, point: int) -> frozenset[int]:
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range")
-        seen = {point}
-        queue = deque([point])
-        while queue:
-            x = queue.popleft()
-            for g in self.generators:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return frozenset(seen)
+        return frozenset(_orbit(point, [g.__getitem__ for g in self.generators]))
 
     def is_transitive(self) -> bool:
         return self.degree > 0 and len(self.orbit(0)) == self.degree

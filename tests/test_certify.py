@@ -20,7 +20,7 @@ from delpezzo.certify import (
     smith_normal_form,
     subgroup_exclusion_certificate,
 )
-from delpezzo.incidence import double_sixes, incidence_graph, triple_nines, tritangent_triangles, weyl_image
+from delpezzo.incidence import double_sixes, image, incidence_graph, triple_nines, tritangent_triangles, weyl_image
 from delpezzo.lattice import DegreeContext
 from delpezzo.permgroup import cycle_type
 
@@ -210,6 +210,20 @@ def test_oracle_cross_validation(table):
     assert any(r["h1_order"] > 1 for r in rows)
     assert all(r["two_part_implies_double_six"] for r in rows)
     assert all(r["three_part_implies_triple_nine"] for r in rows)
+
+
+def test_oracle_stabilization_flags_match_image(table):
+    # reference: move every double six, and every nine of every triple nine,
+    # by the representative one at a time
+    graph = incidence_graph(DegreeContext(3))
+    sixes = [d.blocks for d in double_sixes(graph)]
+    nines = [[frozenset({nine}) for nine in t.blocks] for t in triple_nines(graph)]
+    for row, flags in zip(table.rows, oracle_cross_validation(table)):
+        g = row.representative
+        assert flags["stabilizes_double_six"] is any(image(g, b) == b for b in sixes)
+        assert flags["stabilizes_triple_nine_componentwise"] is any(
+            all(image(g, n) == n for n in parts) for parts in nines
+        )
 
 
 def test_oracle_agrees_with_certificate_exclusions(table):

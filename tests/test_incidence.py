@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from delpezzo.lattice import DegreeContext, exceptional_classes, pairing
+from delpezzo.permgroup import PermutationGroup
 from delpezzo.incidence import (
     _individualize,
     _Refiner,
@@ -465,6 +466,20 @@ def test_aut_transitive_on_double_sixes_and_triple_nines():
     assert len(set(ds_orbits.values())) == 1
     tn_orbits = orbit_of_structures(w, [t.blocks for t in triple_nines(g)])
     assert len(set(tn_orbits.values())) == 1
+
+
+def test_orbit_of_structures_rejects_a_list_the_group_does_not_preserve():
+    g = graph(3)
+    w = weyl_image(DegreeContext(3))
+    sixes = [d.blocks for d in double_sixes(g)]
+    with pytest.raises(ValueError, match="does not preserve"):
+        orbit_of_structures(w, sixes[1:])
+
+
+def test_orbit_of_structures_under_the_trivial_group():
+    sixes = [d.blocks for d in double_sixes(graph(3))]
+    ids = orbit_of_structures(PermutationGroup(27, []), sixes)
+    assert ids == {s: i for i, s in enumerate(sixes)}
 
 
 def test_schlafli_enumerations_require_degree_three():
