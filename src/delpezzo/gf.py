@@ -19,9 +19,10 @@ the constant term first (`_pmul`, `_pmod`, `_pgcd`, `_ppowmod`).  One
 irreducibility test (`_prime_poly_irreducible`, in counter order) gives both
 the moduli of `field` and the places of F_p(u) (`monic_irreducibles`).  One
 Horner's rule (`_horner`, at one element or at every element of a field at
-once) evaluates a `UniPoly` and an `Embedding`, and drives the one least-root
-search (`_least_root`), which gives both the root that fixes an embedding and
-the root at which a place specializes a form.  `UniPoly` only holds and
+once) evaluates a `UniPoly`, builds the table of an `Embedding` (the image of
+every element, which a lift then reads), and drives the one least-root search
+(`_least_root`), which gives both the root that fixes an embedding and the
+root at which a place specializes a form.  `UniPoly` only holds and
 evaluates a place or a coefficient.
 
 Cross-field comparisons always go through explicit embeddings (the least root
@@ -30,7 +31,7 @@ of the source modulus in the destination), never through modulus choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, lru_cache
 from typing import Iterator
 
@@ -310,15 +311,24 @@ def field(p: int, k: int = 1) -> FieldSpec:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Ring embedding src -> dst determined by the least root of src.modulus."""
+    """Ring embedding src -> dst determined by the least root of src.modulus.
+    `table` holds the image of every element of src, read-only: the
+    coordinate polynomial sum_i e_i x^i of e, evaluated at root."""
 
     src: FieldSpec
     dst: FieldSpec
     root: Element
+    table: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        src = self.src
+        digits = np.arange(src.order, dtype=np.int64) // src.p ** np.arange(src.k)[:, None] % src.p
+        table = _horner(self.dst.tables, digits, self.root)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     def __call__(self, e: Element) -> Element:
-        """The coordinate polynomial sum_i e_i x^i of e, evaluated at root."""
-        return int(_horner(self.dst.tables, _digits(e, self.src.p, self.src.k), self.root))
+        return int(self.table[e])
 
 
 @lru_cache(maxsize=None)

@@ -63,14 +63,15 @@ modulus, and a subtraction is one XOR.  In odd characteristic an entry is its
 base-p digits, which grow lazily and are reduced when they lead or when a
 vector joins the basis.
 
-A `CubicForm` builds each extension, its encoded terms, its moved form and
-its point count once; `count_points` is a view of that count, and an
-extension inherits the base form's moved form, lifted.  `trace_sequence`,
-`frobenius_class` and `singular_point` choose the levels m they measure with
-one gate (`_fits`): GF(q^m) exists, q^m <= TABLE_FIELD_CAP, and q^(dim m) is
-within the budget, dim 3 for a point count (the size of P^3) and 4 for a
-line scan (the echelon row pairs); both cost about q^(2m), one pass over a
-plane.
+A `CubicForm` builds each extension, its encoded terms, its moved form, its
+point count and its smoothness verdict once; `count_points` is a view of that
+count, and an extension inherits the base form's moved form, lifted.
+`trace_sequence`, `frobenius_class` and `singular_point` choose the levels m
+they measure with one gate (`_fits`): GF(q^m) exists, q^m <= TABLE_FIELD_CAP,
+and q^(dim m) is within the budget, dim 3 for a point count (the size of P^3)
+and 4 for a line scan (the echelon row pairs); both cost about q^(2m), one
+pass over a plane.  `trace_sequence` counts every level the gate allows;
+`frobenius_class` measures only where the classes still left disagree.
 """
 
 from __future__ import annotations
@@ -136,11 +137,11 @@ class CubicForm:
         if ext is None:
             fs = self.field
             big = field(fs.p, fs.k * m)
-            lift = embed(fs, big)
-            ext = self._extensions[m] = CubicForm(big, tuple(lift(c) for c in self.coeffs))
+            lift = embed(fs, big).table
+            ext = self._extensions[m] = CubicForm(big, tuple(lift.take(self.coeffs).tolist()))
             # the extension counts its points from the base form's rational
             # point: one point search and one change of coordinates per form
-            ext.__dict__["_moved"] = tuple(lift(c) for c in self._moved)
+            ext.__dict__["_moved"] = tuple(lift.take(self._moved).tolist())
         return ext
 
     @cached_property
@@ -780,12 +781,16 @@ class SmoothnessVerdict:
 def smoothness_certificate(form: CubicForm) -> SmoothnessVerdict:
     """Exact: SMOOTH_CERTIFIED when the Macaulay matrix has full column rank,
     NOT_SMOOTH with a kernel vector otherwise (see the module docstring).
+    The verdict is memoised on the form, where `frobenius_class` reads it.
 
     The columns go into a basis one by one, in order.  While a column has a
     leading entry at which a basis vector leads, the multiple of that vector
     that clears it is subtracted; a column left with a leading entry joins
     the basis, scaled to lead with 1.  A column left with none is zero: the
     first such carries the witness, its tracked combination."""
+    verdict = form.__dict__.get("_verdict")
+    if verdict is not None:
+        return verdict
     matrix = _macaulay_matrix(form)
     rows, columns = matrix.shape
     packed = _packing(form.field, columns + rows, columns)
@@ -819,17 +824,21 @@ def smoothness_certificate(form: CubicForm) -> SmoothnessVerdict:
             if witness is None:
                 witness = packed.encodings(v, columns)
     if len(basis) == columns:
-        return SmoothnessVerdict(SMOOTH_CERTIFIED, columns, columns)
-    return SmoothnessVerdict(NOT_SMOOTH, len(basis), columns, witness)
+        verdict = SmoothnessVerdict(SMOOTH_CERTIFIED, columns, columns)
+    else:
+        verdict = SmoothnessVerdict(NOT_SMOOTH, len(basis), columns, witness)
+    form.__dict__["_verdict"] = verdict
+    return verdict
 
 
 @dataclass(frozen=True)
 class FrobeniusEvidence:
-    """Conjugacy classes consistent with the counting evidence of one surface."""
+    """Conjugacy classes consistent with the evidence of one smooth surface,
+    and the measurements taken by level m: lines and traces over GF(q^m)."""
 
     class_ids: tuple[int, ...]
     line_counts: dict[int, int]
-    traces: tuple[int, ...]
+    traces: dict[int, int]
 
     @property
     def pinned(self) -> bool:
@@ -839,39 +848,42 @@ class FrobeniusEvidence:
         return {
             "class_ids": list(self.class_ids),
             "line_counts": {str(k): v for k, v in sorted(self.line_counts.items())},
-            "traces": list(self.traces),
+            "traces": {str(k): v for k, v in sorted(self.traces.items())},
         }
 
 
 def frobenius_class(form: CubicForm, class_table, point_budget: int, line_budget: int) -> FrobeniusEvidence:
-    """Every conjugacy class consistent with the rational-line counts over the
-    extensions and traces within budget; raises when no class fits.
+    """The conjugacy classes consistent with the rational-line counts and
+    traces over the extensions, and the measurements taken; raises, before
+    any scan, on a form not certified smooth, and when no class fits.
 
-    Evidence is gathered adaptively, shallow extensions first, and stops as
-    soon as a single class remains: the ambiguity set always contains the true
-    class of a smooth reduction, so early singletons are exact.  Over GF(q^m)
-    a class predicts the `fixed_lines[m - 1]` lines and the trace 1 +
-    `lattice_traces[m - 1]` of its class-table row (Swinnerton-Dyer's table
-    of the 25 classes), and each measurement keeps the classes that predict
-    it."""
+    Over GF(q^m) a class predicts `fixed_lines[m - 1]` lines and the trace
+    1 + `lattice_traces[m - 1]` (its class-table row: Swinnerton-Dyer's
+    table of the 25 classes).  Level by level, lines first, a measurement is
+    taken where its gate allows and the classes left predict different
+    outcomes; the true class of a smooth surface is always left, so an
+    outcome that all predict alike separates nothing."""
+    verdict = smoothness_certificate(form)
+    if verdict.status != SMOOTH_CERTIFIED:
+        raise NotSmoothOrBadReduction(f"Frobenius evidence needs a smooth surface: the Macaulay "
+                                      f"matrix has rank {verdict.rank} of {verdict.columns}")
     q = form.field.order
     rows = class_table.rows
     counts: dict[int, int] = {}
     traces: dict[int, int] = {}
     candidates = [row.class_id for row in rows]
     for m in range(1, len(rows[0].lattice_traces) + 1):
-        if len(candidates) == 1:
-            break
-        if _fits(q, m, 4, line_budget):
+        lines = {c: rows[c].fixed_lines[m - 1] for c in candidates}
+        if _fits(q, m, 4, line_budget) and len(set(lines.values())) > 1:
             counts[m] = len(lines_on_surface(form.extend(m)))
-            candidates = [c for c in candidates if rows[c].fixed_lines[m - 1] == counts[m]]
-        if _fits(q, m, 3, point_budget):
+            candidates = [c for c in candidates if lines[c] == counts[m]]
+        points = {c: 1 + rows[c].lattice_traces[m - 1] for c in candidates}
+        if _fits(q, m, 3, point_budget) and len(set(points.values())) > 1:
             traces[m] = _weil_trace(count_points(form.extend(m)), q, m)
-            candidates = [c for c in candidates if 1 + rows[c].lattice_traces[m - 1] == traces[m]]
+            candidates = [c for c in candidates if points[c] == traces[m]]
         if not candidates:
             raise NotSmoothOrBadReduction("no conjugacy class matches the evidence")
-    trace_tuple = tuple(traces[m] for m in sorted(traces))
-    return FrobeniusEvidence(tuple(candidates), counts, trace_tuple)
+    return FrobeniusEvidence(tuple(candidates), counts, traces)
 
 
 def splitting_degree(evidence: FrobeniusEvidence, class_table) -> int | tuple[int, ...]:

@@ -161,7 +161,7 @@ PINNED_SURFACES = (
     "3 2 : 1,5,0,2,7,0,3,0,8,1,4,0,6,2,0,5,1,3,0,7\n"
     "2 1 : u,1,0,u^2+1,0,1,0,0,u,1,1,0,1,0,u+1,0,1,1,0,u\n"
 )
-PINNED_SURFACE_REPORT_SHA256 = "b6d6d72ffdd18dc45cd2bea1ff4bb34dc371549027657448cd1c35da2feccc1d"
+PINNED_SURFACE_REPORT_SHA256 = "edf909b0e81884b1b4cc27e8f3c5a30ea84458fde0bf641766738be6e2c1a6ed"
 
 
 def test_cli_surface_report_bytes_are_pinned(tmp_path):

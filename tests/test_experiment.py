@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from delpezzo import experiment
+from delpezzo import experiment, surface
 from delpezzo.certify import (
     H1_TRIVIAL,
     NO_STABLE_DOUBLE_SIX,
@@ -279,3 +279,27 @@ def test_early_stop_never_changes_a_tally(monkeypatch):
                 assert specialized[-1] == outcome.used_places[-1]
         assert {k: row[k] for k in expect} == expect
     assert stopped > 0
+
+
+def test_place_evidence_eliminates_once_per_reduction(monkeypatch):
+    # `frobenius_class` reads the verdict that `smoothness_certificate`
+    # memoised on the reduction: one Macaulay elimination per place
+    table = build_class_table()
+    built = []
+    macaulay = surface._macaulay_matrix
+
+    def counting(form):
+        built.append(form)
+        return macaulay(form)
+
+    monkeypatch.setattr(surface, "_macaulay_matrix", counting)
+    places = places_up_to(F2, 3)
+    reductions = smooth = 0
+    for n in range(4):
+        form = sample_form(F2, 2, CounterRng(f"eliminate/{n}"))
+        for _, reduction, verdict, ev in place_evidence(form, places, table, 300_000, 10**11):
+            if verdict is not None:
+                reductions += 1
+                smooth += ev is not None
+                assert built[-1] is reduction
+    assert len(built) == reductions and 0 < smooth < reductions

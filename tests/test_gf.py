@@ -7,6 +7,8 @@ from delpezzo.experiment import FunctionFieldCubic, _place_root, places_up_to
 from delpezzo.gf import (
     FieldSizeError,
     UniPoly,
+    _digits,
+    _horner,
     embed,
     field,
     is_prime,
@@ -170,6 +172,19 @@ def test_embedding_matches_tuple_reference(p, a, b):
     src, dst = field(p, a), field(p, b)
     emb = embed(src, dst)
     assert [emb(e) for e in range(src.order)] == [ref_embed(src, dst, e) for e in range(src.order)]
+
+
+def test_embedding_table_is_the_horner_value_of_every_element():
+    # every (src, dst) pair up to GF(2^9) and GF(3^6): the table that an
+    # embedding and an extended form read holds sum_i e_i root^i
+    for p, top in ((2, 9), (3, 6)):
+        for b in range(1, top + 1):
+            dst = field(p, b)
+            for src in (field(p, a) for a in range(1, b + 1) if b % a == 0):
+                emb = embed(src, dst)
+                horner = [int(_horner(dst.tables, _digits(e, p, src.k), emb.root)) for e in range(src.order)]
+                assert emb.table.tolist() == horner, (src, dst)
+                assert not emb.table.flags.writeable
 
 
 def test_elements_are_python_ints():

@@ -28,6 +28,9 @@ F3 = field(3, 1)
 F5 = field(5, 1)
 F7 = field(7, 1)
 
+#: the message of `frobenius_class` on a form without a smoothness certificate
+REFUSAL = "Frobenius evidence needs a smooth surface"
+
 
 def cone_f7():
     # x^3 + y^3 + z^3: singular at (0:0:0:1)
@@ -162,14 +165,26 @@ def test_trace_sequence_rejects_singular():
         trace_sequence(cone_f7(), 2, budget=10**6)
 
 
-def test_trace_sequence_and_frobenius_class_share_the_weil_check():
+def test_trace_sequence_and_frobenius_class_share_the_weil_check(monkeypatch):
     xyz = CubicForm.from_ints(F7, [int(e == (1, 1, 1, 0)) for e in MONOMIALS])
     with pytest.raises(NotSmoothOrBadReduction) as traces:
         trace_sequence(xyz, 2, budget=10**9)
-    with pytest.raises(NotSmoothOrBadReduction) as evidence:
-        frobenius_class(xyz, build_class_table(), point_budget=10**9, line_budget=10**8)
     # three planes: 3 q^2 + 1 points, so t_1 = 2q = 14 is out of range
-    assert str(traces.value) == str(evidence.value) == "point count 148 over GF(7^1) violates the Weil shape"
+    assert str(traces.value) == "point count 148 over GF(7^1) violates the Weil shape"
+    with pytest.raises(NotSmoothOrBadReduction, match=REFUSAL):
+        frobenius_class(xyz, build_class_table(), point_budget=10**9, line_budget=10**8)
+    # on a smooth form every trace goes through the one check: the Fermat
+    # surface over GF(2) has 3 rational lines, which 5 classes share
+    checked = []
+    weil_trace = surface._weil_trace
+
+    def recording(count, q, m):
+        checked.append((m, weil_trace(count, q, m)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(surface, "_weil_trace", recording)
+    ev = frobenius_class(CubicForm.fermat(F2), build_class_table(), point_budget=10**6, line_budget=10**7)
+    assert ev.traces and list(ev.traces.items()) == checked
 
 
 def test_smoothness_certificates():
@@ -196,7 +211,8 @@ def test_line_intersection_graph_shape():
 def test_frobenius_class_fermat():
     table = build_class_table()
     ev7 = frobenius_class(CubicForm.fermat(F7), table, point_budget=10**6, line_budget=10**7)
-    assert ev7.pinned
+    # 27 rational lines pin the identity class: no trace is taken
+    assert ev7.pinned and ev7.line_counts == {1: 27} and ev7.traces == {}
     assert table.rows[ev7.class_ids[0]].cycle_type == (1,) * 27
     assert splitting_degree(ev7, table) == 1
 
@@ -214,12 +230,27 @@ def test_frobenius_class_counts_lines_wherever_the_line_budget_allows():
     assert ev.line_counts == {1: 3}
 
 
-def test_frobenius_class_refuses_certified_nonsmooth():
-    # the cone has 9 rational lines and more than 27 over GF(49): no class fits
+def test_frobenius_class_refuses_certified_nonsmooth(monkeypatch):
+    # the cone over GF(7) has 9 rational lines, the count of class 5, so a
+    # measurement alone would pin it; the Fermat form over GF(3) is the cube
+    # of a plane, and x^3 + y^3 + z^3 over GF(2) is a cone too
     table = build_class_table()
-    assert smoothness_certificate(cone_f7()).status == NOT_SMOOTH
-    with pytest.raises(NotSmoothOrBadReduction, match="no conjugacy class"):
-        frobenius_class(cone_f7(), table, point_budget=10**9, line_budget=10**8)
+    cone_f2 = CubicForm.from_ints(F2, cone_f7().coeffs)
+    forms = (cone_f7(), CubicForm.fermat(F3), cone_f2)
+    scans = []
+    grid = surface._grid
+
+    def recording(q, pivot, free):
+        # every point and line scan walks `_grid`
+        scans.append(q)
+        return grid(q, pivot, free)
+
+    monkeypatch.setattr(surface, "_grid", recording)
+    for form in forms:
+        with pytest.raises(NotSmoothOrBadReduction, match=REFUSAL):
+            frobenius_class(form, table, point_budget=10**9, line_budget=10**8)
+        assert smoothness_certificate(form).status == NOT_SMOOTH
+    assert scans == []
 
 
 def test_identity_class_surfaces_have_trace_seven():

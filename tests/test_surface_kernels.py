@@ -18,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from frobenius import matching_classes
+from frobenius import matching_classes, prediction
 from plucker import line_intersection_labels
 
 from delpezzo import surface
@@ -589,12 +589,26 @@ def test_memo_does_not_change_results(fs):
         assert (traces_of(other), evidence) == fresh
 
 
-def test_frobenius_class_matches_the_cycle_type_reference():
+def test_frobenius_class_matches_the_cycle_type_reference(monkeypatch):
     # seeded smooth forms, with the budgets of the `surface` command and with
     # budgets that stop at the base field (wide ambiguity sets): the classes
-    # read from the class table are those the cycle types predict
+    # are those the cycle types predict from every measurement the gates
+    # allow, and a measurement is taken exactly when the candidates left
+    # predict at least two outcomes
     table = build_class_table()
+    scans = {"lines": surface.lines_on_surface, "traces": surface.count_points}
+    taken = []
+
+    def recording(kind):
+        def scan(ext):
+            taken.append((kind, ext.field.k))
+            return scans[kind](ext)
+        return scan
+
+    monkeypatch.setattr(surface, "lines_on_surface", recording("lines"))
+    monkeypatch.setattr(surface, "count_points", recording("traces"))
     sizes = set()
+    skipped = 0
     for fs in (field(2), field(2, 2), field(5), field(7)):
         rng = random.Random(f"frobenius/{fs!r}")
         q = fs.order
@@ -604,9 +618,32 @@ def test_frobenius_class_matches_the_cycle_type_reference():
             if smoothness_certificate(form).status != SMOOTH_CERTIFIED:
                 continue
             smooth += 1
-            for budgets in ((POINT_BUDGET, LINE_BUDGET), (q**3, 0), (0, q**4)):
-                ev = frobenius_class(form, table, *budgets)
-                traces = {m: t for m, t in enumerate(ev.traces, start=1)}
-                assert list(ev.class_ids) == matching_classes(table, ev.line_counts, traces)
+            for point_budget, line_budget in ((POINT_BUDGET, LINE_BUDGET), (q**3, 0), (0, q**4)):
+                taken.clear()
+                ev = frobenius_class(form, table, point_budget, line_budget)
+                # every measurement the gates allow, in the order lines, then
+                # points, level by level
+                allowed = []
+                for m in range(1, 13):
+                    if surface._fits(q, m, 4, line_budget):
+                        allowed.append(("lines", m, len(scans["lines"](form.extend(m)))))
+                    if surface._fits(q, m, 3, point_budget):
+                        count = scans["traces"](form.extend(m))
+                        allowed.append(("traces", m, surface._weil_trace(count, q, m)))
+                measured = {"lines": {}, "traces": {}}
+                separating = []
+                for kind, m, value in allowed:
+                    left = matching_classes(table, measured["lines"], measured["traces"])
+                    outcomes = {prediction(table.rows[c], kind, m) for c in left}
+                    if len(outcomes) > 1:
+                        separating.append((kind, m, value))
+                    else:
+                        assert outcomes == {value}
+                        skipped += 1
+                    measured[kind][m] = value
+                assert taken == [(kind, fs.k * m) for kind, m, _ in separating]
+                assert list(ev.class_ids) == matching_classes(table, measured["lines"], measured["traces"])
+                assert ev.line_counts == {m: v for kind, m, v in separating if kind == "lines"}
+                assert ev.traces == {m: v for kind, m, v in separating if kind == "traces"}
                 sizes.add(len(ev.class_ids))
-    assert 1 in sizes and max(sizes) > 1
+    assert 1 in sizes and max(sizes) > 1 and skipped
