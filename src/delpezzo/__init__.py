@@ -14,7 +14,7 @@ from .permgroup import Permutation, PermutationGroup, cycle_type
 from .incidence import automorphism_group, incidence_graph, weyl_image
 from .gf import UniPoly, embed, field, monic_irreducibles
 from .surface import CubicForm, count_points, lines_on_surface, smoothness_certificate
-from .certify import build_class_table, h1_certificate, h1_cyclic_oracle
+from .certify import build_class_table, h1_certificate, h1_invariants
 from .experiment import ExperimentConfig, run_density
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "smoothness_certificate",
     "build_class_table",
     "h1_certificate",
-    "h1_cyclic_oracle",
+    "h1_invariants",
     "ExperimentConfig",
     "run_density",
 ]

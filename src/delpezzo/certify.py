@@ -22,8 +22,9 @@ stabilizer).  A place whose whole ambiguity set avoids the set therefore rules
 the stabilization out.  Triviality of the first cohomology follows when both
 the double-six and the componentwise triple-nine stabilizations are excluded;
 the 5-part vanishes unconditionally.  An independent oracle computes the
-cohomology of any single incidence-preserving permutation exactly on the
-rank-7 lattice via integer Smith normal form.
+cohomology exactly on the rank-7 lattice for any group generated by
+incidence-preserving permutations, from one Smith normal form: that of the
+generators' g - 1, stacked.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .incidence import double_sixes, incidence_graph, maps_labels, triple_nines, tritangent_triangles, weyl_image
-from .lattice import DegreeContext, exceptional_classes
+from .lattice import DegreeContext, exceptional_classes, simple_roots
 from .permgroup import Permutation, cycle_type, fixed_points_of_power
 
 TRACE_DEPTH = 12  # covers every element order in the group
@@ -63,30 +64,11 @@ def charpoly(a: np.ndarray) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def smith_normal_form(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U, D, V with U @ mat @ V = D diagonal, U and V unimodular, and the
-    diagonal entries nonnegative with each dividing the next."""
-    d = mat.astype(object).copy()
+def invariant_factors(mat: np.ndarray) -> tuple[int, ...]:
+    """The nonzero diagonal entries of the Smith normal form of an integer
+    matrix, positive and each dividing the next."""
+    d = mat.astype(object)  # a copy
     m, n = d.shape
-    u = np.eye(m, dtype=object)
-    v = np.eye(n, dtype=object)
-
-    def swap_rows(i, j):
-        d[[i, j], :] = d[[j, i], :]
-        u[[i, j], :] = u[[j, i], :]
-
-    def swap_cols(i, j):
-        d[:, [i, j]] = d[:, [j, i]]
-        v[:, [i, j]] = v[:, [j, i]]
-
-    def add_row(src, dst, c):
-        d[dst, :] += c * d[src, :]
-        u[dst, :] += c * u[src, :]
-
-    def add_col(src, dst, c):
-        d[:, dst] += c * d[:, src]
-        v[:, dst] += c * v[:, src]
-
     t = 0
     while t < min(m, n):
         # pivot: smallest nonzero magnitude in the remaining block
@@ -94,60 +76,21 @@ def smith_normal_form(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         if not block:
             break
         _, pi, pj = min(block)
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        dirty = False
+        d[[t, pi], :] = d[[pi, t], :]
+        d[:, [t, pj]] = d[:, [pj, t]]
         for i in range(t + 1, m):
-            if d[i, t] != 0:
-                q = d[i, t] // d[t, t]
-                add_row(t, i, -q)
-                dirty = dirty or d[i, t] != 0
+            d[i, :] -= (d[i, t] // d[t, t]) * d[t, :]
         for j in range(t + 1, n):
-            if d[t, j] != 0:
-                q = d[t, j] // d[t, t]
-                add_col(t, j, -q)
-                dirty = dirty or d[t, j] != 0
-        if dirty:
+            d[:, j] -= (d[t, j] // d[t, t]) * d[:, t]
+        if np.any(d[t + 1:, t]) or np.any(d[t, t + 1:]):
             continue
-        # divisibility: fold any non-multiple into the pivot row and retry
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i, j] % d[t, t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
+        # divisibility: fold a row with a non-multiple into the pivot row and retry
+        offenders = [i for i in range(t + 1, m) if any(x % d[t, t] for x in d[i, t + 1:])]
+        if offenders:
+            d[t, :] += d[offenders[0], :]
             continue
-        if d[t, t] < 0:
-            d[t, :] *= -1
-            u[t, :] *= -1
         t += 1
-    return u, d, v
-
-
-def kernel_basis(mat: np.ndarray) -> np.ndarray:
-    """Integer basis (columns) of the kernel lattice of an integer matrix."""
-    _, d, v = smith_normal_form(mat)
-    m, n = d.shape
-    cols = [j for j in range(n) if j >= m or d[j, j] == 0]
-    return v[:, cols]
-
-
-def solve_integer(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Integer solution Y of B @ Y = C for full-column-rank B (entries small);
-    solved over the rationals, rounded, and verified exactly."""
-    if b.shape[1] == 0:
-        if np.any(c):
-            raise ValueError("inconsistent system")
-        return np.zeros((0, c.shape[1]), dtype=object)
-    y, *_ = np.linalg.lstsq(b.astype(np.float64), c.astype(np.float64), rcond=None)
-    y = np.rint(y).astype(np.int64).astype(object)
-    if not np.array_equal(b.astype(object) @ y, c.astype(object)):
-        raise ValueError("no integer solution")
-    return y
+    return tuple(abs(int(d[i, i])) for i in range(t))
 
 
 # -- the lattice lift of line permutations ------------------------------------
@@ -171,17 +114,20 @@ def _lift_data():
     vb = vecs[basis_idx].T  # 7 x 7, unimodular
     vb_inv = np.rint(np.linalg.inv(vb)).astype(np.int64)
     assert np.array_equal(vb @ vb_inv, np.eye(7, dtype=np.int64))
-    # the root-lattice basis: simple roots as columns
-    from .lattice import simple_roots
-
+    # the root-lattice basis: simple roots as columns.  With E6 they span the
+    # lattice, since v + (v.K) E6 is orthogonal to K, so the first six rows of
+    # the inverse of [simple roots | E6] read off simple-root coordinates
     rt = np.array(simple_roots(ctx), dtype=np.int64).T  # 7 x 6
-    return vecs, basis_idx, vb_inv, rt
+    re6 = np.column_stack([rt, vecs[basis_idx[5]]])  # [simple roots | E6], unimodular
+    re6_inv = np.rint(np.linalg.inv(re6)).astype(np.int64)
+    assert np.array_equal(re6 @ re6_inv, np.eye(7, dtype=np.int64))
+    return vecs, basis_idx, vb_inv, rt, re6_inv[:6]
 
 
 def lattice_matrix(perm: Permutation) -> np.ndarray:
     """The 7x7 integer matrix of the lattice map induced by a permutation of
     the 27 classes (columns act on coordinate vectors)."""
-    vecs, basis_idx, vb_inv, _ = _lift_data()
+    vecs, basis_idx, vb_inv, _, _ = _lift_data()
     images = vecs[[perm[b] for b in basis_idx]].T
     return images @ vb_inv
 
@@ -189,9 +135,8 @@ def lattice_matrix(perm: Permutation) -> np.ndarray:
 def root_lattice_matrix(perm: Permutation) -> np.ndarray:
     """The induced 6x6 matrix on the orthogonal complement of the canonical
     class, written in the simple-root basis."""
-    _, _, _, rt = _lift_data()
-    m = lattice_matrix(perm)
-    return solve_integer(rt.astype(object), (m @ rt).astype(object)).astype(np.int64)
+    _, _, _, rt, left = _lift_data()
+    return left @ lattice_matrix(perm) @ rt
 
 
 # -- class table ---------------------------------------------------------------
@@ -445,32 +390,22 @@ def subgroup_exclusion_certificate(places: tuple[PlaceEvidence, ...], table: Cla
     return Certificate(NOT_IN_LISTED_SUBGROUPS, witnesses, table.content_hash)
 
 
-# -- independent cyclic cohomology oracle ---------------------------------------
+# -- independent cohomology oracle ----------------------------------------------
 
 
-def h1_cyclic_oracle(sigma: Permutation) -> tuple[int, ...]:
-    """Elementary divisors (> 1) of ker(norm)/im(sigma - 1) for the cyclic
-    group generated by an incidence-preserving permutation of the 27 classes,
-    acting on the rank-7 lattice; () means trivial cohomology."""
+def h1_invariants(generators) -> tuple[int, ...]:
+    """Invariant factors (> 1) of H^1(G, Pic) for the group G generated by
+    incidence-preserving permutations of the 27 classes; () means trivial
+    cohomology.  For finite G, H^1(G, M) = (M⊗Q/Z)^G / (M⊗Q)^G, the sum of
+    Z/d over the invariant factors d of the stacked g - 1, one block per
+    generator: only the generators enter."""
     graph = incidence_graph(DegreeContext(3))
-    if not maps_labels(sigma, graph.labels, graph.labels):
-        raise ValueError("permutation does not preserve the incidence labels")
-    m = lattice_matrix(sigma).astype(object)
-    order = math.lcm(*cycle_type(sigma))
-    norm = np.zeros((7, 7), dtype=object)
-    power = np.eye(7, dtype=object)
-    for _ in range(order):
-        norm += power
-        power = power @ m
-    kb = kernel_basis(norm)
-    if kb.shape[1] == 0:
-        return ()
-    y = solve_integer(kb, m - np.eye(7, dtype=object))
-    _, d, _ = smith_normal_form(y)
-    k = kb.shape[1]
-    divisors = [int(d[i, i]) for i in range(min(d.shape))]
-    assert all(x != 0 for x in divisors[:k]), "cohomology of a finite action is finite"
-    return tuple(sorted(x for x in divisors if x > 1))
+    blocks = [np.zeros((0, 7), dtype=np.int64)]  # no generators: the trivial group
+    for g in generators:
+        if not maps_labels(g, graph.labels, graph.labels):
+            raise ValueError("permutation does not preserve the incidence labels")
+        blocks.append(lattice_matrix(g) - np.eye(7, dtype=np.int64))
+    return tuple(d for d in invariant_factors(np.vstack(blocks)) if d > 1)
 
 
 def oracle_cross_validation(table: ClassTable | None = None) -> list[dict]:
@@ -484,8 +419,8 @@ def oracle_cross_validation(table: ClassTable | None = None) -> list[dict]:
     tn_fixed = _fixed_members(reps, [t.blocks for t in triple_nines(graph)], componentwise=True)
     out = []
     for row, ds, tn in zip(table.rows, ds_fixed, tn_fixed):
-        invs = h1_cyclic_oracle(row.representative)
-        h1_order = math.prod(invs) if invs else 1
+        invs = h1_invariants([row.representative])
+        h1_order = math.prod(invs)
         stabilizes_ds, stabilizes_tn = ds > 0, tn > 0
         out.append(
             {

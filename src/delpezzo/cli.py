@@ -74,7 +74,7 @@ def parse_surface_line(line: str):
     if len(parts) != 2:
         raise ValueError("expected header 'p k : coefficients'")
     p, k = int(parts[0]), int(parts[1])
-    if not is_prime(p):
+    if p <= TABLE_FIELD_CAP and not is_prime(p):  # `field` refuses a larger p, without a trial division
         raise ValueError(f"{p} is not prime")
     fs = field(p, k)
     tokens = [t.strip() for t in tail.split(",") if t.strip()]
@@ -88,16 +88,16 @@ def parse_surface_line(line: str):
 
 def read_surface_file(path: str):
     out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()  # \n, \r\n and \r, as in text mode
+    for lineno, raw in enumerate(raw_lines, 1):
+        try:
+            line = raw.decode().strip()  # a UnicodeDecodeError is a ValueError of its line
+            if line and not line.startswith("#"):
                 out.append((lineno, *parse_surface_line(line)))
-            except ValueError as exc:
-                kind = FieldSizeError if isinstance(exc, FieldSizeError) else SurfaceFileError
-                raise kind(f"{path}:{lineno}: {exc}") from exc
+        except ValueError as exc:
+            kind = FieldSizeError if isinstance(exc, FieldSizeError) else SurfaceFileError
+            raise kind(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

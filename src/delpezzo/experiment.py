@@ -33,7 +33,7 @@ from .certify import (
     h1_certificate,
     subgroup_exclusion_certificate,
 )
-from .gf import Element, FieldSpec, UniPoly, _least_root, field, is_prime, monic_irreducibles
+from .gf import TABLE_FIELD_CAP, Element, FieldSpec, UniPoly, _least_root, field, is_prime, monic_irreducibles
 from .surface import SMOOTH_CERTIFIED, CubicForm, frobenius_class, smoothness_certificate
 
 
@@ -142,7 +142,8 @@ class ExperimentConfig:
     seed: str = "0"
 
     def validate(self) -> None:
-        if not is_prime(self.q):
+        # `field` refuses a larger q, without a trial division
+        if self.q <= TABLE_FIELD_CAP and not is_prime(self.q):
             raise ValueError(f"q (-q) must be prime, not {self.q}")
         if self.samples_per_degree < 0:
             raise ValueError(f"samples_per_degree (-N) must be >= 0, not {self.samples_per_degree}")

@@ -299,12 +299,14 @@ class FieldSpec:
 
 @lru_cache(maxsize=None)
 def field(p: int, k: int = 1) -> FieldSpec:
-    """GF(p^k) with the deterministic least monic modulus of degree k."""
-    if not is_prime(p):
+    """GF(p^k) with the deterministic least monic modulus of degree k.  The
+    sizes are checked before trial division and before p**k, which are slow
+    for a huge p or k."""
+    if p <= TABLE_FIELD_CAP and not is_prime(p):
         raise ValueError(f"{p} is not prime; build extensions as field(p, k)")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**k > TABLE_FIELD_CAP:
+    if p > TABLE_FIELD_CAP or k > TABLE_FIELD_CAP.bit_length() or p**k > TABLE_FIELD_CAP:
         raise FieldSizeError(f"GF({p}^{k}): no arithmetic tables above order {TABLE_FIELD_CAP}")
     return FieldSpec(p, k, tuple(next(_irreducible_digits(p, k))))
 

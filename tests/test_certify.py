@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from cohomology import h1_cyclic, kernel_basis, smith_normal_form
 from conjugacy import class_labels
 
 from delpezzo.certify import (
@@ -13,16 +14,16 @@ from delpezzo.certify import (
     build_class_table,
     charpoly,
     h1_certificate,
-    h1_cyclic_oracle,
-    kernel_basis,
+    h1_invariants,
+    invariant_factors,
     lattice_matrix,
     oracle_cross_validation,
-    smith_normal_form,
+    root_lattice_matrix,
     subgroup_exclusion_certificate,
 )
 from delpezzo.incidence import double_sixes, image, incidence_graph, triple_nines, tritangent_triangles, weyl_image
-from delpezzo.lattice import DegreeContext
-from delpezzo.permgroup import cycle_type
+from delpezzo.lattice import DegreeContext, simple_roots
+from delpezzo.permgroup import compose, cycle_type
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +148,13 @@ def test_lattice_matrix_preserves_intersection_form(table):
         assert np.array_equal(m @ k, k)
 
 
+def test_root_lattice_matrix_is_the_restriction_to_the_roots(table):
+    rt = np.array(simple_roots(DegreeContext(3))).T
+    w = weyl_image(DegreeContext(3))
+    for g in [row.representative for row in table.rows] + list(w.generators):
+        assert np.array_equal(rt @ root_lattice_matrix(g), lattice_matrix(g) @ rt)
+
+
 def test_root_lattice_traces_match_charpoly_newton_sums(table):
     # independent route: power sums of the characteristic polynomial's roots
     for row in table.rows:
@@ -191,16 +199,56 @@ def test_kernel_basis():
     assert not np.any(a.astype(object) @ kb)
 
 
+def _reference_diagonal(a):
+    _, d, _ = smith_normal_form(a)
+    return tuple(int(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0)
+
+
+def test_invariant_factors_match_the_reference_diagonal():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        m, n = (int(x) for x in rng.integers(1, 7, size=2))
+        a = rng.integers(-9, 10, size=(m, n))
+        assert invariant_factors(a) == _reference_diagonal(a)
+        # rank at most r < min(m, n): a product through a thinner matrix
+        r = int(rng.integers(0, min(m, n)))
+        low = rng.integers(-4, 5, size=(m, r)) @ rng.integers(-4, 5, size=(r, n))
+        factors = invariant_factors(low)
+        assert factors == _reference_diagonal(low) and len(factors) <= r
+    assert invariant_factors(np.diag([2, 3])) == (1, 6)
+    assert invariant_factors(np.zeros((3, 2), dtype=np.int64)) == ()
+
+
 def test_oracle_identity_is_trivial():
-    assert h1_cyclic_oracle(tuple(range(27))) == ()
+    assert h1_invariants([tuple(range(27))]) == ()
+    assert h1_invariants([]) == ()  # no generators: the trivial group
 
 
 def test_oracle_rejects_non_automorphism():
-    bad = tuple([1, 0] + list(range(2, 27)))
+    bad = tuple([1, 0] + list(range(2, 27)))  # transposition of the first two classes
     w = weyl_image(DegreeContext(3))
-    if not w.contains(bad):  # guard: transposition of the first two classes
-        with pytest.raises(ValueError):
-            h1_cyclic_oracle(bad)
+    assert not w.contains(bad)
+    with pytest.raises(ValueError):
+        h1_invariants([bad])
+    with pytest.raises(ValueError):
+        h1_invariants([*w.generators, bad])
+
+
+def test_oracle_matches_the_norm_kernel_reference(table):
+    for row in table.rows:
+        assert h1_invariants([row.representative]) == h1_cyclic(row.representative)
+    w = weyl_image(DegreeContext(3))
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        word = tuple(range(27))
+        for i in rng.integers(0, len(w.generators), size=int(rng.integers(1, 12))):
+            word = compose(word, w.generators[i])
+        # the same cyclic group from one generator and from two
+        assert h1_invariants([word]) == h1_invariants([word, compose(word, word)]) == h1_cyclic(word)
+
+
+def test_h1_of_the_whole_group_is_trivial():
+    assert h1_invariants(weyl_image(DegreeContext(3)).generators) == ()
 
 
 def test_oracle_cross_validation(table):
@@ -210,6 +258,8 @@ def test_oracle_cross_validation(table):
     assert any(r["h1_order"] > 1 for r in rows)
     assert all(r["two_part_implies_double_six"] for r in rows)
     assert all(r["three_part_implies_triple_nine"] for r in rows)
+    nonzero = {r["class_id"]: tuple(r["h1_invariants"]) for r in rows if r["h1_order"] > 1}
+    assert nonzero == {4: (2, 2), 7: (3, 3), 10: (2, 2), 19: (2, 2)}
 
 
 def test_oracle_stabilization_flags_match_image(table):
@@ -232,7 +282,7 @@ def test_oracle_agrees_with_certificate_exclusions(table):
     tn = table.subgroups["TripleNineComponentwiseStab"].cycle_types
     for row in table.rows:
         if row.cycle_type not in ds and row.cycle_type not in tn:
-            assert h1_cyclic_oracle(row.representative) == ()
+            assert h1_invariants([row.representative]) == ()
 
 
 def test_place_evidence_rejects_empty_ambiguity():

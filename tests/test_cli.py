@@ -13,7 +13,7 @@ from delpezzo.cli import (
     read_surface_file,
 )
 from delpezzo.experiment import ExperimentConfig
-from delpezzo.gf import field
+from delpezzo.gf import TABLE_FIELD_CAP, field, is_prime
 
 FERMAT = "1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,1,0,0,1"
 
@@ -54,6 +54,41 @@ def test_read_surface_file_reports_line_numbers(tmp_path):
     path.write_text("# comment\n\n7 1 : 1,2\n")
     with pytest.raises(SurfaceFileError, match=":3:"):
         read_surface_file(str(path))
+
+
+def _no_trial_division_above_the_cap(monkeypatch, *modules):
+    """Make `is_prime` in each module fail the test for any n above the cap."""
+    prime = is_prime
+
+    def small_only(n):
+        assert n <= TABLE_FIELD_CAP, f"trial division of {n}"
+        return prime(n)
+
+    for module in modules:
+        monkeypatch.setattr(module, "is_prime", small_only)
+
+
+def test_cli_surface_non_utf8_file_is_one_line(tmp_path, capsys):
+    src = tmp_path / "latin1.txt"
+    # the first two lines end in \r and \r\n, which still end a line
+    src.write_bytes(b"# comment\r7 1 : " + FERMAT.encode() + b"\r\n2 1 : u,\xff\n")
+    assert main(["surface", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{src}:3: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("header", ["2305843009213693951 1", "65537 1", "3 10000000"])
+def test_cli_surface_header_above_the_table_cap(header, tmp_path, capsys, monkeypatch):
+    from delpezzo import cli, gf
+
+    _no_trial_division_above_the_cap(monkeypatch, cli, gf)
+    src = tmp_path / "big.txt"
+    src.write_text(f"{header} : {FERMAT}\n")
+    assert main(["surface", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"surface: {src}:1: GF({header.replace(' ', '^')}): no arithmetic tables above order 65536\n"
 
 
 def test_cli_verify_single_degree(tmp_path, capsys):
@@ -355,18 +390,20 @@ def test_cli_density_places_without_tables_is_a_config_error(capsys, monkeypatch
 
 def test_cli_density_base_field_without_tables_is_named_first(capsys, monkeypatch):
     # GF(65537) has no tables; the default point budget is also below 65537^3,
-    # but the missing field is the fault to report
-    from delpezzo import experiment
+    # but the missing field is the fault to report, and a q far above the cap
+    # is refused before any trial division
+    from delpezzo import experiment, gf
 
     def never(*args, **kwargs):
         raise AssertionError("the class table was built for a field without tables")
 
     monkeypatch.setattr(experiment, "build_class_table", never)
-    assert main(["density", "-q", "65537", "-N", "1", "-D", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip()
-    assert err.startswith("configuration error: ") and "above order 65536" in err and "\n" not in err
+    _no_trial_division_above_the_cap(monkeypatch, experiment, gf)
+    for q in ("65537", "2305843009213693951"):
+        assert main(["density", "-q", q, "-N", "1", "-D", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: GF({q}^1): no arithmetic tables above order 65536\n"
 
 
 def test_cli_density_rejects_a_negative_budget(capsys, monkeypatch):

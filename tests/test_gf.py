@@ -228,6 +228,35 @@ def test_nonprime_characteristic_rejected():
         field(1)
 
 
+#: a Mersenne prime far above the table cap: trial division takes minutes
+HUGE_PRIME = 2**61 - 1
+
+
+class _Exponent(int):
+    """An extension degree that fails the test if p**k is ever computed."""
+
+    def __rpow__(self, base):
+        raise AssertionError(f"{base}**{int(self)} was computed")
+
+
+def test_field_sizes_are_checked_before_primality_and_powers(monkeypatch):
+    from delpezzo import gf
+
+    def small_only(n):
+        assert n <= gf.TABLE_FIELD_CAP, f"trial division of {n}"
+        return is_prime(n)
+
+    monkeypatch.setattr(gf, "is_prime", small_only)
+    for p, k in ((HUGE_PRIME, 1), (65537, 1), (2, _Exponent(10**11)), (65521, 2)):
+        with pytest.raises(FieldSizeError, match="no arithmetic tables above order 65536"):
+            gf.field.__wrapped__(p, k)
+    # below the cap the messages stay
+    with pytest.raises(ValueError, match="^4 is not prime"):
+        gf.field.__wrapped__(4, _Exponent(10**11))
+    with pytest.raises(ValueError, match="extension degree"):
+        gf.field.__wrapped__(3, 0)
+
+
 def test_least_modulus_for_gf4():
     assert field(2, 2).modulus == (1, 1, 1)  # 1 + x + x^2
 
