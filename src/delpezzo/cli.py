@@ -191,6 +191,10 @@ def _analyze_function_field_surface(form: FunctionFieldCubic, table, args) -> di
 
 
 def cmd_surface(args) -> int:
+    for flag, value in (("--budget-points", args.budget_points), ("--budget-lines", args.budget_lines)):
+        if value < 0:
+            print(f"surface: {flag} must be >= 0, not {value}", file=sys.stderr)
+            return 2
     try:
         surfaces = read_surface_file(args.input)
     except SurfaceFileError as exc:
@@ -319,11 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    for flag, dest in (("--budget-points", "budget_points"), ("--budget-lines", "budget_lines")):
-        value = getattr(args, dest, 0)
-        if value < 0:
-            print(f"{args.command}: {flag} must be >= 0, not {value}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except (FieldSizeError, OSError) as exc:

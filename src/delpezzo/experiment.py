@@ -84,9 +84,6 @@ class FunctionFieldCubic:
         if all(c.is_zero() for c in self.coeffs):
             raise ValueError("the zero form does not define a surface")
 
-    def format(self) -> str:
-        return ";".join(c.format() or "0" for c in self.coeffs)
-
 
 class BadPlaceError(RuntimeError):
     """The specialization at this place degenerates (zero form)."""

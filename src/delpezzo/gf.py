@@ -5,7 +5,8 @@ is the lexicographically least monic irreducible of degree k (counter order:
 the coefficient vector read as a base-p integer, constant digit least
 significant).  An element is its counter encoding: the Python int whose
 base-p digits are its coordinates over F_p, constant digit least significant,
-which fixes a deterministic total order on each field.
+which fixes a deterministic total order on each field.  So 0 and 1 are the
+field's zero and one, and `range(fs.order)` lists its elements in that order.
 
 All arithmetic reads the field's tables (`FieldSpec.tables`, built on first
 use from the least primitive element), which every field has: `field` and
@@ -234,12 +235,6 @@ class FieldSpec:
 
     # -- encoding ------------------------------------------------------------
 
-    def zero(self) -> Element:
-        return 0
-
-    def one(self) -> Element:
-        return 1
-
     def from_int(self, n: int) -> Element:
         """Check that n encodes an element of this field."""
         if not 0 <= n < self.order:
@@ -254,16 +249,10 @@ class FieldSpec:
         """The prime-field element c (mod p) inside this field."""
         return c % self.p
 
-    def elements(self) -> Iterator[Element]:
-        return iter(range(self.order))
-
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: Element, b: Element) -> Element:
         return int(self.tables.add(a, b))
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
 
     def neg(self, a: Element) -> Element:
         return int(self.tables.NEG[a])
@@ -286,12 +275,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.order - 2)
-
-    def frobenius(self, a: Element) -> Element:
-        return self.pow(a, self.p)
-
-    def is_zero(self, a: Element) -> bool:
-        return a == 0
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
@@ -356,15 +339,8 @@ class UniPoly:
     coeffs: tuple[Element, ...]
 
     @staticmethod
-    def make(fs: FieldSpec, coeffs: list[Element]) -> "UniPoly":
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return UniPoly(fs, tuple(coeffs))
-
-    @staticmethod
     def from_ints(fs: FieldSpec, encodings: list[int]) -> "UniPoly":
-        return UniPoly.make(fs, [fs.from_int(n) for n in encodings])
+        return UniPoly(fs, tuple(_trim([fs.from_int(n) for n in encodings])))
 
     @property
     def degree(self) -> int:

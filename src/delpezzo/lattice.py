@@ -3,8 +3,10 @@
 Pic is modelled as Z^(1,9-d) with the intersection form diag(+1, -1, ..., -1)
 in the basis (H, E1, ..., E_{9-d}) and canonical class K = -3H + E1 + ... + E_{9-d}.
 Exceptional classes are the lattice vectors with v.v = v.K = -1, roots the
-vectors with v.v = -2 and v.K = 0.  Everything here is exact integer
-arithmetic on plain tuples; all values are immutable.
+vectors with v.v = -2 and v.K = 0.  A class v meets E_{9-d} in -v_{9-d}, so
+blowing E_{9-d} down drops the last coordinate of the classes disjoint from it.
+Everything here is exact integer arithmetic on plain tuples; all values are
+immutable.
 """
 
 from __future__ import annotations
@@ -156,48 +158,3 @@ def reflect(ctx: DegreeContext, root: LatticeVector, v: LatticeVector) -> Lattic
     c = pairing(ctx, v, root)
     return tuple(a + c * b for a, b in zip(v, root))
 
-
-def blow_down_map(
-    ctx: DegreeContext, e: LatticeVector
-) -> dict[LatticeVector, LatticeVector]:
-    """Contract the exceptional class e: a pairing-preserving bijection from
-    the classes disjoint from e onto the exceptional classes one degree up.
-
-    A product of simple-root reflections moving e to E_{9-d} is found by
-    breadth-first search over the class set; classes v with v.e = 0 are
-    transported and their last coordinate (then zero) dropped.
-    """
-    if ctx.degree > 6:
-        raise UnsupportedDegreeError("no blow-down target above degree 7")
-    classes = exceptional_classes(ctx)
-    if e not in classes:
-        raise ValueError(f"{e} is not an exceptional class for d={ctx.degree}")
-    target = tuple(0 if i < ctx.rank - 1 else 1 for i in range(ctx.rank))
-
-    # BFS from e towards E_{9-d} through simple reflections; a word is the
-    # tuple of simple roots to reflect in, first to last
-    gens = simple_roots(ctx)
-    word: dict[LatticeVector, tuple[LatticeVector, ...]] = {e: ()}
-    frontier = [e]
-    while target not in word:
-        nxt = []
-        for v in frontier:
-            for r in gens:
-                w = reflect(ctx, r, v)
-                if w not in word:
-                    word[w] = word[v] + (r,)
-                    nxt.append(w)
-        if not nxt:
-            raise RuntimeError("reflection orbit does not reach the basis class")
-        frontier = nxt
-    move = word[target]
-
-    out: dict[LatticeVector, LatticeVector] = {}
-    for v in classes:
-        if pairing(ctx, v, e) == 0:
-            w = v
-            for r in move:
-                w = reflect(ctx, r, w)
-            assert w[-1] == 0
-            out[v] = w[:-1]
-    return out

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from cohomology import h1_cyclic, kernel_basis, smith_normal_form
@@ -7,6 +9,7 @@ from delpezzo.certify import (
     INCONCLUSIVE,
     H1_TRIVIAL,
     NOT_IN_LISTED_SUBGROUPS,
+    NO_STABLE_DOUBLE_SIX,
     NO_STABLE_TRIPLE_NINE,
     ClassTable,
     PlaceEvidence,
@@ -316,6 +319,24 @@ def test_h1_certificate_kinds(table):
     inside_ds = _class_with(table, lambda r: r.cycle_type in ds and r.cycle_type not in tn)
     straddle = (PlaceEvidence("p1", (outside_both.class_id, inside_ds.class_id)),)
     assert h1_certificate(straddle, table).kind == NO_STABLE_TRIPLE_NINE
+
+
+def test_h1_certificate_no_stable_double_six(table):
+    ds = table.subgroups["DoubleSixStab"].cycle_types
+    tn = table.subgroups["TripleNineComponentwiseStab"]
+    # every triple-nine cycle type is a double-six one, so with the derived
+    # table a place that excludes the double six excludes the triple nine too
+    assert tn.cycle_types <= ds
+    # with the triple-nine set widened to every type, only the double six goes
+    every_type = frozenset(r.cycle_type for r in table.rows)
+    widened = dataclasses.replace(
+        table, subgroups={**table.subgroups, tn.name: dataclasses.replace(tn, cycle_types=every_type)}
+    )
+    outside_ds = _class_with(table, lambda r: r.cycle_type not in ds)
+    cert = h1_certificate((PlaceEvidence("p1", (outside_ds.class_id,)),), widened)
+    assert cert.kind == NO_STABLE_DOUBLE_SIX
+    assert cert.witnesses == {"DoubleSixStab": "p1"}
+    assert h1_certificate((PlaceEvidence("p1", (outside_ds.class_id,)),), table).kind == H1_TRIVIAL
 
 
 def test_subgroup_exclusion_certificate(table):

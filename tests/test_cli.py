@@ -164,6 +164,26 @@ def test_cli_verify_rejects_all_with_a_degree(capsys):
     assert captured.err == "verify: --all and --degree exclude each other\n"
 
 
+@pytest.mark.parametrize("argv, failures", [
+    (["verify", "--all"], ["verify_table1 fails", "schlafli_report fails"] + ["stabilizer_chain_check fails"] * 6),
+    (["verify", "-d", "3"], ["verify_table1 fails", "stabilizer_chain_check fails", "schlafli_report fails"]),
+])
+def test_cli_verify_failure_exits_1_and_names_the_failed_claims(argv, failures, capsys, monkeypatch):
+    from delpezzo import cli, verify
+    from delpezzo.verify import Check
+
+    def failing(name):
+        return lambda *args, **kwargs: [Check(f"{name} fails", 0, 1, 3), Check(f"{name} holds", 0, 0, 3)]
+
+    for name in ("verify_table1", "stabilizer_chain_check", "schlafli_report"):
+        monkeypatch.setattr(verify, name, failing(name))
+        monkeypatch.setattr(cli, name, failing(name))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["all_pass"] is False
+    assert captured.err == "FAILED: " + "; ".join(failures) + "\n"
+
+
 def test_cli_surface_end_to_end(tmp_path):
     src = tmp_path / "in.txt"
     src.write_text(
@@ -261,6 +281,20 @@ def test_cli_surface_bad_file(tmp_path, capsys):
     src.write_text("7 1 : 1,2\n")
     assert main(["surface", str(src)]) == 2
     assert ":1:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    (f"7 : {FERMAT}", "expected header 'p k : coefficients'"),
+    ("2 1 : 9" + ",0" * 19, "encoding 9 out of range for field of order 2"),
+    ("2 1 : " + ",".join(["0u"] * 20), "the zero form does not define a surface"),
+])
+def test_cli_surface_malformed_line_is_one_line(line, message, tmp_path, capsys):
+    src = tmp_path / "bad.txt"
+    src.write_text(f"# comment\n{line}\n")
+    assert main(["surface", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{src}:2: {message}\n"
 
 
 def test_cli_surface_missing_file_is_one_line(tmp_path, capsys):
@@ -413,11 +447,12 @@ def test_cli_density_rejects_a_negative_budget(capsys, monkeypatch):
         raise AssertionError("the class table was built for a negative budget")
 
     monkeypatch.setattr(experiment, "build_class_table", never)
-    for flag in ("--budget-lines", "--budget-points"):
+    for flag, message in (("--budget-lines", "line_budget (--budget-lines) must be >= 0, not -1"),
+                          ("--budget-points", "point_budget (--budget-points) must be >= q^3 = 8, not -1")):
         assert main(["density", "-q", "2", "-N", "1", "-D", "1", flag, "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"density: {flag} must be >= 0, not -1\n"
+        assert captured.err == f"configuration error: {message}\n"
 
 
 def test_cli_surface_rejects_a_negative_budget(tmp_path, capsys, monkeypatch):
@@ -436,13 +471,17 @@ def test_cli_surface_rejects_a_negative_budget(tmp_path, capsys, monkeypatch):
         assert captured.err == f"surface: {flag} must be >= 0, not {value}\n"
 
 
-def test_cli_tables(tmp_path):
+def test_cli_tables(tmp_path, capsys):
     out = tmp_path / "tables.json"
     assert main(["tables", "--json", str(out)]) == 0
     report = json.loads(out.read_text())
     assert len(report["classes"]) == 25
     assert report["char_polys_separate_classes"] is True
     assert len(report["content_hash"]) == 64
+    # without --json the same bytes go to stdout
+    assert capsys.readouterr().out == ""
+    assert main(["tables"]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_cli_surface_budget_exceeded_is_one_line(tmp_path, capsys):

@@ -4,10 +4,12 @@ import pytest
 
 from delpezzo import experiment, surface
 from delpezzo.certify import (
+    INCONCLUSIVE,
     H1_TRIVIAL,
     NO_STABLE_DOUBLE_SIX,
     NO_STABLE_TRIPLE_NINE,
     NOT_IN_LISTED_SUBGROUPS,
+    Certificate,
     PlaceEvidence,
     build_class_table,
     h1_certificate,
@@ -18,6 +20,7 @@ from delpezzo.experiment import (
     CounterRng,
     ExperimentConfig,
     FunctionFieldCubic,
+    SampleOutcome,
     analyze_sample,
     place_evidence,
     places_up_to,
@@ -61,7 +64,7 @@ def test_places_over_f2():
     assert labels == ["0,1", "1,1", "1,1,1", "1,1,0,1", "1,0,1,1"]
     for p in places_up_to(F2, 3):
         # monic, and of degree <= 3 without a root in F_2
-        assert p.coeffs[-1] == 1 and all(p.evaluate(x) != 0 for x in F2.elements() if p.degree > 1)
+        assert p.coeffs[-1] == 1 and all(p.evaluate(x) != 0 for x in range(F2.order) if p.degree > 1)
 
 
 def _constant_cubic(encodings):
@@ -102,12 +105,12 @@ def test_conjugate_root_gives_same_frobenius_class():
     from delpezzo.surface import CubicForm
 
     # F_2 digits encode alike in GF(4)
-    roots = [x for x in f4.elements() if f4.is_zero(UniPoly(f4, place.coeffs).evaluate(x))]
+    roots = [x for x in range(f4.order) if UniPoly(f4, place.coeffs).evaluate(x) == 0]
     assert len(roots) == 2
     evidences = []
     for root in roots:
         coeffs = tuple(UniPoly(f4, c.coeffs).evaluate(root) for c in form.coeffs)
-        if all(f4.is_zero(c) for c in coeffs):
+        if all(c == 0 for c in coeffs):
             pytest.skip("degenerate sample")
         surf = CubicForm(f4, coeffs)
         if smoothness_certificate(surf).status == "not_smooth":
@@ -199,6 +202,20 @@ def test_too_few_places_for_a_usable_sample_is_an_invalid_config():
         ExperimentConfig(q=2, min_usable_places=6).validate()
     ExperimentConfig(q=2, min_usable_places=5).validate()
     ExperimentConfig(q=2, max_place_degree=1, min_usable_places=2).validate()
+
+
+def test_run_density_counts_no_stable_double_six(monkeypatch):
+    table = build_class_table()
+    h1 = Certificate(NO_STABLE_DOUBLE_SIX, {"DoubleSixStab": "0,1"}, table.content_hash)
+    exclusion = Certificate(INCONCLUSIVE, {}, table.content_hash)
+    outcome = SampleOutcome(["0,1", "1,1", "1,1,1"], [], h1, exclusion, False)
+    monkeypatch.setattr(experiment, "analyze_sample", lambda *args: outcome)
+    config = ExperimentConfig(q=2, degree_bounds=(1,), samples_per_degree=3, seed="ds")
+    row = run_density(config)["rows"][0]
+    assert row["no_stable_double_six"] == row["usable"] == 3
+    assert row["h1_trivial"] == row["no_stable_triple_nine"] == row["h1_inconclusive"] == 0
+    assert row["exclusion_inconclusive"] == 3
+    assert row["h1_trivial_density"] == 0.0
 
 
 def test_csv_round_trip():

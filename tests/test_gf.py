@@ -88,7 +88,7 @@ def ref_pmod(fs, a, m):
         c = fs.mul(a[-1], inv_lead)
         shift = len(a) - len(m)
         for i, y in enumerate(m):
-            a[shift + i] = fs.sub(a[shift + i], fs.mul(c, y))
+            a[shift + i] = fs.add(a[shift + i], fs.neg(fs.mul(c, y)))
         a = list(ref_trim(a))
     return tuple(a)
 
@@ -118,7 +118,7 @@ def ref_is_irreducible(fs, f):
     for _ in range((len(f) - 1) // 2):
         xq = ref_powmod(fs, xq, fs.order, f)
         diff = list(xq) + [0] * max(0, 2 - len(xq))
-        diff[1] = fs.sub(diff[1], 1)
+        diff[1] = fs.add(diff[1], fs.neg(1))
         if len(ref_gcd(fs, f, ref_trim(diff))) != 1:
             return False
     return True
@@ -138,7 +138,7 @@ def ref_least_root(coeffs, dst):
             acc = dst.add(dst.mul(acc, x), c)
         return acc
 
-    return next(x for x in dst.elements() if value(x) == 0)
+    return next(x for x in range(dst.order) if value(x) == 0)
 
 
 def test_vectorized_arithmetic_matches_field():
@@ -154,7 +154,6 @@ def test_vectorized_arithmetic_matches_field():
         for a, b in pairs:
             assert fs.mul(a, b) == mul[a, b]
             assert fs.add(a, b) == add[a, b]
-            assert fs.sub(a, b) == add[a, neg[b]]
         for a in els:
             assert fs.neg(a) == neg[a]
             if a:
@@ -193,8 +192,8 @@ def test_elements_are_python_ints():
 
     for fs in (field(2, 3), field(3, 2)):
         a, b = 5, 7
-        for x in (fs.add(a, b), fs.sub(a, b), fs.neg(a), fs.mul(a, b), fs.pow(a, 5),
-                  fs.pow(a, -2), fs.inv(a), fs.frobenius(a), fs.scalar(4), fs.from_int(3)):
+        for x in (fs.add(a, b), fs.neg(a), fs.mul(a, b), fs.pow(a, 5),
+                  fs.pow(a, -2), fs.inv(a), fs.scalar(4), fs.from_int(3)):
             assert type(x) is int
         big = field(fs.p, 2 * fs.k)
         assert all(type(embed(fs, big)(e)) is int for e in range(fs.order))
@@ -218,7 +217,7 @@ def test_prime_field_basics():
     a, b = f5.from_int(3), f5.from_int(4)
     assert f5.to_int(f5.add(a, b)) == 2
     assert f5.to_int(f5.mul(a, b)) == 2
-    assert f5.mul(a, f5.inv(a)) == f5.one()
+    assert f5.mul(a, f5.inv(a)) == 1
 
 
 def test_nonprime_characteristic_rejected():
@@ -264,7 +263,7 @@ def test_least_modulus_for_gf4():
 def test_gf4_multiplication():
     f4 = field(2, 2)
     x, x1 = 2, 3  # x and x + 1
-    assert f4.mul(x, x1) == f4.one()
+    assert f4.mul(x, x1) == 1
 
 
 def test_inverse_of_zero_raises():
@@ -275,8 +274,8 @@ def test_inverse_of_zero_raises():
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1)])
 def test_field_axioms_exhaustive_small(p, k):
     fs = field(p, k)
-    elements = list(fs.elements())
-    one, zero = fs.one(), fs.zero()
+    elements = list(range(fs.order))
+    one, zero = 1, 0
     for a in elements:
         assert fs.add(a, zero) == a
         assert fs.mul(a, one) == a
@@ -286,19 +285,19 @@ def test_field_axioms_exhaustive_small(p, k):
     # frobenius is additive and multiplicative; frobenius^k is the identity
     sample = elements[:: max(1, len(elements) // 12)]
     for a, b in itertools.product(sample, repeat=2):
-        assert fs.frobenius(fs.add(a, b)) == fs.add(fs.frobenius(a), fs.frobenius(b))
-        assert fs.frobenius(fs.mul(a, b)) == fs.mul(fs.frobenius(a), fs.frobenius(b))
+        assert fs.pow(fs.add(a, b), p) == fs.add(fs.pow(a, p), fs.pow(b, p))
+        assert fs.pow(fs.mul(a, b), p) == fs.mul(fs.pow(a, p), fs.pow(b, p))
     for a in elements:
         x = a
         for _ in range(k):
-            x = fs.frobenius(x)
+            x = fs.pow(x, p)
         assert x == a
 
 
 def test_frobenius_fixes_exactly_prime_subfield_in_gf4():
     f4 = field(2, 2)
-    fixed = [e for e in f4.elements() if f4.frobenius(e) == e]
-    assert fixed == [f4.zero(), f4.one()]
+    fixed = [e for e in range(f4.order) if f4.pow(e, f4.p) == e]
+    assert fixed == [0, 1]
 
 
 def test_embedding_is_ring_hom_on_all_pairs_small():
@@ -307,8 +306,8 @@ def test_embedding_is_ring_hom_on_all_pairs_small():
     for (p, a, b) in [(2, 1, 2), (2, 2, 4), (3, 1, 2), (2, 1, 4), (2, 4, 8)]:
         src, dst = field(p, a), field(p, b)
         emb = embed(src, dst)
-        els = list(src.elements())
-        assert emb(src.one()) == dst.one()
+        els = list(range(src.order))
+        assert emb(1) == 1
         for x, y in itertools.product(els, repeat=2):
             assert emb(src.add(x, y)) == dst.add(emb(x), emb(y))
             assert emb(src.mul(x, y)) == dst.mul(emb(x), emb(y))
@@ -319,7 +318,7 @@ def test_embedding_is_ring_hom_on_all_pairs_small():
 def test_embedding_image_lies_in_the_right_subfield():
     f4, f16 = field(2, 2), field(2, 4)
     emb = embed(f4, f16)
-    for e in f4.elements():
+    for e in range(f4.order):
         img = emb(e)
         assert f16.pow(img, 4) == img  # the GF(4) locus of GF(16)
 
@@ -327,10 +326,10 @@ def test_embedding_image_lies_in_the_right_subfield():
 def test_embedding_commutes_with_source_frobenius_power():
     f4, f16 = field(2, 2), field(2, 4)
     emb = embed(f4, f16)
-    for a in f4.elements():
-        lhs = emb(f4.frobenius(f4.frobenius(a)))
+    for a in range(f4.order):
+        lhs = emb(f4.pow(a, 4))
         x = emb(a)
-        rhs = f16.frobenius(f16.frobenius(x))
+        rhs = f16.pow(x, 4)
         assert lhs == rhs
 
 
@@ -338,7 +337,7 @@ def test_embedding_composition_from_prime_field():
     f2, f4, f16 = field(2, 1), field(2, 2), field(2, 4)
     via = lambda e: embed(f4, f16)(embed(f2, f4)(e))
     direct = embed(f2, f16)
-    for e in f2.elements():
+    for e in range(f2.order):
         assert via(e) == direct(e)
 
 
@@ -352,7 +351,7 @@ def test_embedding_requires_divisible_degree():
 def test_identity_embedding():
     f8 = field(2, 3)
     emb = embed(f8, f8)
-    assert all(emb(e) == e for e in f8.elements())
+    assert all(emb(e) == e for e in range(f8.order))
 
 
 def test_monic_irreducibles_over_f2():

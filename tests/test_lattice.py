@@ -8,7 +8,6 @@ from delpezzo.lattice import (
     DegreeContext,
     DimensionError,
     UnsupportedDegreeError,
-    blow_down_map,
     exceptional_classes,
     pairing,
     reflect,
@@ -160,26 +159,14 @@ def test_pairwise_intersection_ranges(d, expected_labels):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_blow_down_map_is_pairing_preserving_bijection(d):
+    """Blowing E_{9-d} down drops the last coordinate: the classes disjoint
+    from E_{9-d} (last coordinate 0), truncated, are the degree-(d+1)
+    classes in their order, with every pairing kept."""
     ctx = DegreeContext(d)
     up = DegreeContext(d + 1)
-    e = exceptional_classes(ctx)[0]
-    m = blow_down_map(ctx, e)
-    assert len(m) == CLASS_COUNTS[d + 1]
-    assert set(m.values()) == set(exceptional_classes(up))
-    items = sorted(m.items())
-    for (v1, w1), (v2, w2) in itertools.combinations(items[:40], 2):
-        assert pairing(ctx, v1, v2) == pairing(up, w1, w2)
-
-
-def test_blow_down_fixes_untouched_basis_classes():
-    ctx = DegreeContext(3)
-    e6 = (0, 0, 0, 0, 0, 0, 1)
-    m = blow_down_map(ctx, e6)
-    e1 = (0, 1, 0, 0, 0, 0, 0)
-    assert m[e1] == (0, 1, 0, 0, 0, 0)
-
-
-def test_blow_down_rejects_non_exceptional():
-    ctx = DegreeContext(3)
-    with pytest.raises(ValueError):
-        blow_down_map(ctx, ctx.canonical_class)
+    e = E(ctx, ctx.num_blowups)
+    disjoint = [v for v in exceptional_classes(ctx) if pairing(ctx, v, e) == 0]
+    assert all(v[-1] == 0 for v in disjoint)
+    assert [v[:-1] for v in disjoint] == list(exceptional_classes(up))
+    for v, w in itertools.combinations(disjoint, 2):
+        assert pairing(ctx, v, w) == pairing(up, v[:-1], w[:-1])

@@ -139,7 +139,7 @@ def twisted_cayley(q):
     Frobenius orbit: they lie over GF(q^4) and over no smaller field."""
     base, big = field(q), field(q, 4)
     lift = embed(base, big)
-    down = {lift(c): c for c in base.elements()}
+    down = {lift(c): c for c in range(base.order)}
     a = int(big.tables.EXP[1])
     linear = [[big.pow(big.pow(a, q**i), v) for v in range(4)] for i in range(4)]
     coeffs = dict.fromkeys(MONOMIALS, 0)

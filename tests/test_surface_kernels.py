@@ -93,7 +93,7 @@ def projective_points(fs):
 def slow_eval(fs, terms, point):
     """sum of c * prod x_v^e_v with the field's scalar arithmetic."""
     x = [fs.from_int(c) for c in point]
-    acc = fs.zero()
+    acc = 0
     for c, e in terms:
         term = c
         for v, mult in enumerate(e):
@@ -472,16 +472,16 @@ def old_meets(l1, l2):
     rows = [[fs.from_int(x) for x in r] for r in (l1.row1, l1.row2, l2.row1, l2.row2)]
     rank = 0
     for col in range(4):
-        pivot = next((r for r in range(rank, 4) if not fs.is_zero(rows[r][col])), None)
+        pivot = next((r for r in range(rank, 4) if rows[r][col] != 0), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = fs.inv(rows[rank][col])
         rows[rank] = [fs.mul(x, inv) for x in rows[rank]]
         for r in range(4):
-            if r != rank and not fs.is_zero(rows[r][col]):
+            if r != rank and rows[r][col] != 0:
                 c = rows[r][col]
-                rows[r] = [fs.sub(x, fs.mul(c, y)) for x, y in zip(rows[r], rows[rank])]
+                rows[r] = [fs.add(x, fs.neg(fs.mul(c, y))) for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank < 4
 
