@@ -7,11 +7,11 @@ rank-6 orthogonal complement of the canonical class, fixed-line counts, class
 sizes), the cycle-type sets of the classical stabilizer subgroups, and the
 certificates built on them.  The families whose stabilizers these are (lines,
 double sixes, tritangent triangles, triple nines) come from `incidence`, the
-double sixes and nines from the E6 roots; a member is a set of line sets, and
-a permutation fixes it when it maps each of the member's line sets onto one
-of them (onto itself, for a componentwise fixed triple nine).  One count,
-`_fixed_members`, applies that rule to the class table and to the oracle's
-cross-check.
+double sixes and nines from the E6 roots, each as one line array (members,
+blocks, size); a permutation fixes a member when it maps each block onto a
+block of the member (onto itself, for a componentwise fixed triple nine).  One
+count, `_fixed_members`, applies that rule to the class table, which keeps the
+double-six and componentwise triple-nine counts for the oracle's cross-check.
 
 Soundness of the exclusion logic: if the Galois image stabilizes some double
 six, every Frobenius element fixes that double six, so its class is one whose
@@ -187,6 +187,10 @@ class ClassTable:
     cycle_types_separate_classes: bool
     char_polys_separate_classes: bool
     content_hash: str
+    # per class id, the double sixes and the componentwise triple nines that
+    # the representative fixes; outside the hashed payload
+    fixed_double_sixes: tuple[int, ...]
+    fixed_triple_nines: tuple[int, ...]
 
 
 SUBGROUP_NAMES = (
@@ -199,19 +203,17 @@ SUBGROUP_NAMES = (
 )
 
 
-def _fixed_members(rows: np.ndarray, family: list[frozenset[frozenset[int]]],
-                   componentwise: bool = False) -> list[int]:
-    """Per line permutation in `rows`, the number of members of `family` it
-    fixes, as `incidence.image` would count them: each member's blocks,
+def _fixed_members(rows: np.ndarray, family: np.ndarray, componentwise: bool = False) -> list[int]:
+    """Per line permutation in `rows`, the number of members of `family`, a
+    (members, blocks, size) line array, that it fixes: each member's blocks,
     disjoint line sets of one size, must go to blocks of the member (to
-    themselves when `componentwise`).  One gather of the family's line arrays
-    through the rows, then one of the block that each image line lies in."""
-    blocks = np.array([sorted(sorted(b) for b in member) for member in family])  # (members, blocks, size)
-    members, count, _ = blocks.shape
+    themselves when `componentwise`).  One gather of the family through the
+    rows, then one of the block that each image line lies in."""
+    members, count, _ = family.shape
     member = np.arange(members)[:, None, None]
     block_of = np.full((members, rows.shape[1]), -1)
-    block_of[member, blocks] = np.arange(count)[:, None]
-    landed = block_of[member, rows[:, blocks]]  # (rows, members, blocks, size)
+    block_of[member, family] = np.arange(count)[:, None]
+    landed = block_of[member, rows[:, family]]  # (rows, members, blocks, size)
     if componentwise:
         fixed = landed == np.arange(count)[:, None]
     else:
@@ -268,11 +270,11 @@ def build_class_table() -> ClassTable:
     # Each subgroup stabilizes one member of a family the group permutes.  A
     # class meets a conjugate of it exactly when its representative fixes some
     # member of that member's orbit, and |Stab| = sum |C| fix(C) / |family|.
-    nines = [t.blocks for t in triple_nines(graph)]
+    nines = triple_nines(graph)
     setwise = {
-        "LineStab": [frozenset({frozenset({x})}) for x in range(27)],
-        "DoubleSixStab": [d.blocks for d in double_sixes(graph)],
-        "TritangentStab": [frozenset({frozenset(t)}) for t in tritangent_triangles(graph)],
+        "LineStab": np.arange(27).reshape(27, 1, 1),
+        "DoubleSixStab": double_sixes(graph),
+        "TritangentStab": tritangent_triangles(graph)[:, None],
         "TripleNineSetStab": nines,
     }
     rep_rows = np.array(reps)
@@ -306,6 +308,8 @@ def build_class_table() -> ClassTable:
         cycle_types_separate_classes=len(set(types_by_class)) == 25,
         char_polys_separate_classes=len(set(polys_by_class)) == 25,
         content_hash=digest,
+        fixed_double_sixes=tuple(fixed["DoubleSixStab"][1][i] for i in by_order),
+        fixed_triple_nines=tuple(fixed["TripleNineComponentwiseStab"][1][i] for i in by_order),
     )
 
 
@@ -413,12 +417,8 @@ def oracle_cross_validation(table: ClassTable | None = None) -> list[dict]:
     forced stabilizations (a stable double six for a 2-part, a componentwise
     stable triple nine for a 3-part) actually occur."""
     table = table or build_class_table()
-    graph = incidence_graph(DegreeContext(3))
-    reps = np.array([row.representative for row in table.rows])
-    ds_fixed = _fixed_members(reps, [d.blocks for d in double_sixes(graph)])
-    tn_fixed = _fixed_members(reps, [t.blocks for t in triple_nines(graph)], componentwise=True)
     out = []
-    for row, ds, tn in zip(table.rows, ds_fixed, tn_fixed):
+    for row, ds, tn in zip(table.rows, table.fixed_double_sixes, table.fixed_triple_nines):
         invs = h1_invariants([row.representative])
         h1_order = math.prod(invs)
         stabilizes_ds, stabilizes_tn = ds > 0, tn > 0

@@ -48,6 +48,7 @@ class SurfaceFileError(ValueError):
 
 
 _TERM_RE = re.compile(r"^(\d+)?(u(\^(\d+))?)?$")
+MAX_U_DEGREE = 1024  # a u-polynomial is parsed into a dense coefficient list
 
 
 def parse_u_polynomial(text: str, base) -> UniPoly:
@@ -63,6 +64,8 @@ def parse_u_polynomial(text: str, base) -> UniPoly:
             degree = int(m.group(4)) if m.group(4) else 1
         coeffs[degree] = coeffs.get(degree, 0) + scalar
     top = max(coeffs, default=0)
+    if top > MAX_U_DEGREE:
+        raise ValueError(f"u-exponent {top} above {MAX_U_DEGREE}")
     encodings = [coeffs.get(d, 0) % base.p for d in range(top + 1)]
     return UniPoly.from_ints(base, encodings)
 

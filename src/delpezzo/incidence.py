@@ -15,19 +15,20 @@ same read-only result on a repeat, so the domain side of a level is refined
 once, not once per coset candidate.  The Weyl image is the permutation action
 of the simple-root reflections on the same vertex list.
 
-For degree 3 the classical substructures of the 27 lines are enumerated here:
-tritangent triangles (class sum = -K), double sixes and triple nines.  Double
-sixes and trihedral nines come from the 72 roots by one integer product of
-line and root vectors: each pair of opposite roots gives a double six, and each
-A2 subsystem the nine lines orthogonal to it.  A family member is a set of line
-sets (`DoubleSix.blocks`, `TripleNine.blocks`), and `image` moves it by a line
-permutation.
+For degree 3 the classical families of the 27 lines are enumerated here, each
+one read-only int64 array of line indices: tritangent triangles (45, 3), double
+sixes (36, 2, 6), trihedral nines (120, 9) and triple nines (40, 3, 9).  Double
+sixes and trihedral nines come from the 72 roots by one integer product of line
+and root vectors: each pair of opposite roots gives a double six, and each A2
+subsystem the nine lines orthogonal to it.  One triangle rule gives the
+tritangent triangles (in the meet graph) and the triple nines (in the
+disjointness graph of the nines).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .lattice import (
     DegreeContext,
     LatticeVector,
     exceptional_classes,
-    reflect,
     roots,
     simple_roots,
 )
@@ -81,17 +81,22 @@ def incidence_graph(ctx: DegreeContext) -> IncidenceGraph:
 def weyl_image(ctx: DegreeContext) -> PermutationGroup:
     """The group generated by the simple-root reflections acting on the
     canonical class list: v + (v.alpha) alpha for every class v and simple
-    root alpha by one integer product, each image found by its packed key
-    among the sorted classes (coordinates are small, so base-64 digits offset
-    by 32 keep the lexicographic order)."""
+    root alpha by one integer product, each image found by `_class_index`."""
     cls, alphas = exceptional_classes(ctx), simple_roots(ctx)
+    images = np.array(cls)[None] + _pairings(alphas, cls)[:, :, None] * np.array(alphas)[:, None]
+    return PermutationGroup(len(cls), [tuple(g) for g in _class_index(cls, images).tolist()])
+
+
+def _class_index(cls: tuple[LatticeVector, ...], vectors: np.ndarray) -> np.ndarray:
+    """The position of each vector (along the last axis) among the sorted
+    classes, by its packed key: coordinates are small, so base-64 digits
+    offset by 32 keep the lexicographic order."""
     v = np.array(cls)
-    images = v[None] + _pairings(alphas, cls)[:, :, None] * np.array(alphas)[:, None]
-    weights = 64 ** np.arange(ctx.rank - 1, -1, -1, dtype=np.int64)
-    keys, image_keys = (v + 32) @ weights, (images + 32) @ weights
-    found = np.searchsorted(keys, image_keys)
-    assert np.array_equal(keys.take(found, mode="clip"), image_keys), "a reflection left the classes"
-    return PermutationGroup(len(cls), [tuple(g) for g in found.tolist()])
+    weights = 64 ** np.arange(v.shape[1] - 1, -1, -1, dtype=np.int64)
+    keys, wanted = (v + 32) @ weights, (vectors + 32) @ weights
+    found = np.searchsorted(keys, wanted)
+    assert np.array_equal(keys.take(found, mode="clip"), wanted), "a vector left the classes"
+    return found
 
 
 # -- automorphism search ----------------------------------------------------
@@ -336,30 +341,10 @@ def automorphism_group(graph: IncidenceGraph) -> PermutationGroup:
 # -- Schlaefli substructures of the 27 lines --------------------------------
 
 
-@dataclass(frozen=True)
-class DoubleSix:
-    """Two aligned sextuples of pairwise-disjoint lines: first[i] misses
-    second[i] and meets the other five of the second row."""
-
-    first: tuple[int, ...]
-    second: tuple[int, ...]
-
-    @property
-    def blocks(self) -> frozenset[frozenset[int]]:
-        """The two sixes, as the set of line sets that `image` moves."""
-        return frozenset({frozenset(self.first), frozenset(self.second)})
-
-
-@dataclass(frozen=True)
-class TripleNine:
-    """Unordered partition of the 27 lines into three trihedral-pair nines."""
-
-    parts: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-    @property
-    def blocks(self) -> frozenset[frozenset[int]]:
-        """The three nines, as the set of line sets that `image` moves."""
-        return frozenset(frozenset(p) for p in self.parts)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    a.setflags(write=False)
+    return a
 
 
 def _require_deg3(graph: IncidenceGraph) -> None:
@@ -375,111 +360,95 @@ def _root_pairings(graph: IncidenceGraph) -> tuple[tuple[LatticeVector, ...], np
     return rs, products[: graph.n], products[graph.n :]
 
 
+def _triangles(adjacent: np.ndarray) -> np.ndarray:
+    """The triangles i < j < k of a symmetric boolean matrix with a false
+    diagonal, (triangles, 3) in lexicographic order: for each edge i < j in
+    turn, the common neighbours k > j, from one (edges, n) mask."""
+    i, j = np.nonzero(np.triu(adjacent, 1))
+    e, k = np.nonzero(adjacent[i] & adjacent[j] & (np.arange(len(adjacent)) > j[:, None]))
+    return _frozen(np.column_stack([i[e], j[e], k]))
+
+
 @lru_cache(maxsize=None)
-def tritangent_triangles(graph: IncidenceGraph) -> tuple[tuple[int, int, int], ...]:
-    """All 3-sets of lines with class sum equal to -K, sorted canonically."""
+def tritangent_triangles(graph: IncidenceGraph) -> np.ndarray:
+    """The 45 tritangent triangles, (45, 3): the triangles of the meet graph
+    (labels == 1), which are the 3-sets of lines whose classes sum to -K.
+
+    For pairwise meeting E1, E2, E3, the class D = E1 + E2 + E3 + K has
+    D.K = -3 + 3 = 0 and D.D = -3 + 6 - 6 + 3 = 0, so D = 0 on the negative
+    definite orthogonal complement of K.  Conversely, if the sum is -K then
+    E1.(E2 + E3) = E1.(-K - E1) = 2, and two distinct lines meet in 0 or 1."""
     _require_deg3(graph)
-    ctx = DegreeContext(3)
-    minus_k = tuple(-x for x in ctx.canonical_class)
-    index = {c: i for i, c in enumerate(graph.vertices)}
-    out = []
-    n = graph.n
-    for i in range(n):
-        vi = graph.vertices[i]
-        for j in range(i + 1, n):
-            if graph.labels[i, j] != 1:
-                continue
-            vj = graph.vertices[j]
-            third = tuple(k - a - b for k, a, b in zip(minus_k, vi, vj))
-            k = index.get(third)
-            if k is not None and k > j:
-                out.append((i, j, k))
-    return tuple(sorted(out))
+    return _triangles(graph.labels == 1)
 
 
 @lru_cache(maxsize=None)
-def double_sixes(graph: IncidenceGraph) -> tuple[DoubleSix, ...]:
-    """All double sixes, one for each pair of opposite roots, sorted by first
-    row.
+def double_sixes(graph: IncidenceGraph) -> np.ndarray:
+    """The 36 double sixes, (36, 2, 6), one for each pair of opposite roots,
+    in lexicographic order of row 0.
 
-    For a root alpha the first row is the lines E with E.alpha = 1, ascending,
-    and the partner of each is its reflection E + alpha: E.(E + alpha) = 0 and
-    E'.(E + alpha) = 1 for the other five E'.  The second row is the lines with
+    For a root alpha, row 0 is the lines E with E.alpha = 1, ascending, and
+    row 1 their partners E + alpha in the same order: E.(E + alpha) = 0 and
+    E'.(E + alpha) = 1 for the other five E'.  Row 1 is the lines with
     E.alpha = -1, so -alpha gives the same double six with the rows swapped;
-    alpha is kept when its row holds the smaller least line.
+    alpha is kept when its row 0 holds the smaller least line.
     """
     _require_deg3(graph)
-    ctx = DegreeContext(3)
     rs, line_root, _ = _root_pairings(graph)
-    index = {c: i for i, c in enumerate(graph.vertices)}
-    out = []
-    for alpha, col in zip(rs, line_root.T):
-        first = np.nonzero(col == 1)[0].tolist()
-        if first[0] < np.nonzero(col == -1)[0][0]:
-            second = [index[reflect(ctx, alpha, graph.vertices[e])] for e in first]
-            out.append(DoubleSix(tuple(first), tuple(second)))
-    return tuple(sorted(out, key=lambda d: d.first))
+    meets = line_root.T == 1  # (roots, lines)
+    kept = np.argmax(meets, axis=1) < np.argmax(line_root.T == -1, axis=1)
+    first = np.nonzero(meets[kept])[1].reshape(-1, 6)
+    second = _class_index(graph.vertices, np.array(graph.vertices)[first] + np.array(rs)[kept][:, None])
+    return _frozen(np.stack([first, second], axis=1)[np.lexsort(first.T[::-1])])
 
 
 @lru_cache(maxsize=None)
-def trihedral_nines(graph: IncidenceGraph) -> tuple[frozenset[int], ...]:
-    """The line sets of the trihedral pairs: for each of the A2 subsystems of
-    the roots, the nine lines orthogonal to it, {E : E.alpha = E.beta = 0}
-    over the root pairs with alpha.beta = 1 (which span an A2)."""
+def trihedral_nines(graph: IncidenceGraph) -> np.ndarray:
+    """The 120 line sets of the trihedral pairs, (120, 9), ascending within
+    and in lexicographic order: for each of the A2 subsystems of the roots,
+    the nine lines orthogonal to it, {E : E.alpha = E.beta = 0} over the root
+    pairs with alpha.beta = 1 (which span an A2)."""
     _require_deg3(graph)
     _, line_root, root_root = _root_pairings(graph)
     orthogonal = line_root == 0
-    nines = {
-        frozenset(np.nonzero(orthogonal[:, a] & orthogonal[:, b])[0].tolist())
-        for a, b in zip(*np.nonzero(root_root == 1))
-    }
-    return tuple(sorted(nines, key=sorted))
+    a, b = np.nonzero(root_root == 1)
+    lines = np.nonzero((orthogonal[:, a] & orthogonal[:, b]).T)[1].reshape(-1, 9)
+    return _frozen(np.unique(lines, axis=0, return_index=True)[0])  # plain np.unique imports numpy.ma
 
 
 @lru_cache(maxsize=None)
-def triple_nines(graph: IncidenceGraph) -> tuple[TripleNine, ...]:
-    """All partitions of the 27 lines into three trihedral-pair nines."""
-    _require_deg3(graph)
+def triple_nines(graph: IncidenceGraph) -> np.ndarray:
+    """The 40 partitions of the 27 lines into three trihedral-pair nines,
+    (40, 3, 9): the triangles of the disjointness graph of the nines."""
     nines = trihedral_nines(graph)
-    nine_set = set(nines)
-    all_lines = frozenset(range(27))
-    out = set()
-    for a in nines:
-        if 0 not in a:
-            continue
-        rest = all_lines - a
-        pivot = min(rest)
-        for b in nines:
-            if pivot in b and b <= rest and (rest - b) in nine_set:
-                parts = tuple(
-                    sorted((tuple(sorted(a)), tuple(sorted(b)), tuple(sorted(rest - b))))
-                )
-                out.add(TripleNine(parts))
-    return tuple(sorted(out, key=lambda t: t.parts))
+    inside = (nines[:, :, None] == np.arange(graph.n)).any(axis=1)  # (nines, lines)
+    return _frozen(nines[_triangles(inside @ inside.T == 0)])
 
 
-def image(g: Permutation, blocks: frozenset[frozenset[int]]) -> frozenset[frozenset[int]]:
-    """A family member, given as a set of line sets, moved by the line
-    permutation g."""
-    return frozenset(frozenset(g[x] for x in b) for b in blocks)
+def orbit_of_structures(group: PermutationGroup, family: np.ndarray) -> list[int]:
+    """The orbit id of each member of a family (members, blocks, size) of
+    line arrays under the group generators, in member order, ids numbered by
+    first appearance.  A member is keyed by its bytes with the lines sorted
+    within each block and the blocks ordered by their least line, so each
+    generator becomes a list of member indices.
 
+    Raises ValueError when a generator moves a member out of the family.
+    """
 
-def orbit_of_structures(
-    group: PermutationGroup, structures: list[frozenset[frozenset[int]]]
-) -> dict:
-    """Partition family members (sets of line sets) into orbits under the group
-    generators, each moved by `image`.  Returns a mapping from member to orbit
-    id."""
-    moves = [partial(image, g) for g in group.generators]
-    known = set(structures)
-    ids = {}
+    def keys(members: np.ndarray) -> list[bytes]:
+        lines = np.sort(members, axis=-1)
+        order = np.argsort(lines[..., 0], axis=-1)
+        return [m.tobytes() for m in np.take_along_axis(lines, order[..., None], axis=-2)]
+
+    index = {key: i for i, key in enumerate(keys(family))}
+    moves = [[index.get(key) for key in keys(np.asarray(g)[family])] for g in group.generators]
+    if any(None in move for move in moves):
+        raise ValueError("group does not preserve the structure list")
+    ids = [-1] * len(family)
     next_id = 0
-    for s in structures:
-        if s in ids:
-            continue
-        orbit = _orbit(s, moves)
-        if not orbit <= known:
-            raise ValueError("group does not preserve the structure list")
-        ids.update(dict.fromkeys(orbit, next_id))
-        next_id += 1
+    for i in range(len(family)):
+        if ids[i] < 0:
+            for j in _orbit(i, [move.__getitem__ for move in moves]):
+                ids[j] = next_id
+            next_id += 1
     return ids

@@ -113,7 +113,7 @@ def fixed_points_of_power(ct: CycleType, m: int) -> int:
 
 def _orbit(start, maps) -> set:
     """The closure of {start} under the callables `maps`: points under
-    permutations, or family members under `incidence.image`."""
+    permutations, or member indices of a family of lines."""
     seen = {start}
     todo = [start]
     while todo:

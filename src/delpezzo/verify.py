@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+import numpy as np
+
 from .lattice import CLASS_COUNTS, DegreeContext, exceptional_classes
 from .permgroup import PermutationGroup
 from . import incidence
@@ -172,25 +174,22 @@ def schlafli_report() -> list[Check]:
     tn = incidence.triple_nines(graph)
     w = weyl_image(ctx)
 
-    per_line = [0] * 27
-    for t in triangles:
-        for x in t:
-            per_line[x] += 1
+    per_line = np.bincount(triangles.ravel(), minlength=27)
     neighbor_counts = sorted({int((graph.labels[i] == 1).sum()) for i in range(27)})
 
-    ds_orbits = incidence.orbit_of_structures(w, [d.blocks for d in ds])
-    tn_orbits = incidence.orbit_of_structures(w, [t.blocks for t in tn])
+    ds_orbits = incidence.orbit_of_structures(w, ds)
+    tn_orbits = incidence.orbit_of_structures(w, tn)
 
     return [
         Check("tritangent triangle count", 45, len(triangles)),
         Check("double-six count", 36, len(ds)),
         Check("triple-nine count", 40, len(tn)),
-        Check("triangles through each line", [5], sorted(set(per_line))),
+        Check("triangles through each line", [5], sorted(set(per_line.tolist()))),
         Check("lines met by each line", [10], neighbor_counts),
-        Check("double-six orbit count under Aut", 1, len(set(ds_orbits.values()))),
-        Check("triple-nine orbit count under Aut", 1, len(set(tn_orbits.values()))),
+        Check("double-six orbit count under Aut", 1, len(set(ds_orbits))),
+        Check("triple-nine orbit count under Aut", 1, len(set(tn_orbits))),
         Check("double-six stabilizer order (orbit-stabilizer)", 1440,
-              w.order // list(ds_orbits.values()).count(ds_orbits[ds[0].blocks])),
+              w.order // ds_orbits.count(ds_orbits[0])),
     ]
 
 

@@ -90,8 +90,8 @@ def test_criterion_4_schlafli_statistics():
     assert set(per_line) == {5}
     assert {int((graph.labels[i] == 1).sum()) for i in range(27)} == {10}
     w = weyl_image(DegreeContext(3))
-    assert len(set(orbit_of_structures(w, [d.blocks for d in double_sixes(graph)]).values())) == 1
-    assert len(set(orbit_of_structures(w, [t.blocks for t in triple_nines(graph)]).values())) == 1
+    assert len(set(orbit_of_structures(w, double_sixes(graph)))) == 1
+    assert len(set(orbit_of_structures(w, triple_nines(graph)))) == 1
     _announce(4, "45 triangles (5 per line), 36 double sixes, 40 triple nines, both orbits transitive")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from cohomology import h1_cyclic, kernel_basis, smith_normal_form
 from conjugacy import class_labels
+from families import blocks, image
 
 from delpezzo.certify import (
     INCONCLUSIVE,
@@ -24,7 +25,7 @@ from delpezzo.certify import (
     root_lattice_matrix,
     subgroup_exclusion_certificate,
 )
-from delpezzo.incidence import double_sixes, image, incidence_graph, triple_nines, tritangent_triangles, weyl_image
+from delpezzo.incidence import double_sixes, incidence_graph, triple_nines, tritangent_triangles, weyl_image
 from delpezzo.lattice import DegreeContext, simple_roots
 from delpezzo.permgroup import compose, cycle_type
 
@@ -83,11 +84,11 @@ def _per_element_subgroups():
     reps = [tuple(int(x) for x in elements[r]) for r in rep_rows]
     determinants = np.array([round(np.linalg.det(lattice_matrix(rep))) for rep in reps])
     ds_set = np.zeros(27, dtype=bool)
-    ds_set[list(double_sixes(graph)[0].first + double_sixes(graph)[0].second)] = True
+    ds_set[double_sixes(graph)[0].ravel()] = True
     tri_set = np.zeros(27, dtype=bool)
     tri_set[list(tritangent_triangles(graph)[0])] = True
     part_id = np.zeros(27, dtype=np.int64)
-    for pid, part in enumerate(triple_nines(graph)[0].parts):
+    for pid, part in enumerate(triple_nines(graph)[0].tolist()):
         part_id[list(part)] = pid
     set_mask = np.ones(len(elements), dtype=bool)
     for pid in range(3):
@@ -269,8 +270,8 @@ def test_oracle_stabilization_flags_match_image(table):
     # reference: move every double six, and every nine of every triple nine,
     # by the representative one at a time
     graph = incidence_graph(DegreeContext(3))
-    sixes = [d.blocks for d in double_sixes(graph)]
-    nines = [[frozenset({nine}) for nine in t.blocks] for t in triple_nines(graph)]
+    sixes = [blocks(d) for d in double_sixes(graph)]
+    nines = [[frozenset({nine}) for nine in blocks(t)] for t in triple_nines(graph)]
     for row, flags in zip(table.rows, oracle_cross_validation(table)):
         g = row.representative
         assert flags["stabilizes_double_six"] is any(image(g, b) == b for b in sixes)

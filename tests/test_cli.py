@@ -287,6 +287,7 @@ def test_cli_surface_bad_file(tmp_path, capsys):
     (f"7 : {FERMAT}", "expected header 'p k : coefficients'"),
     ("2 1 : 9" + ",0" * 19, "encoding 9 out of range for field of order 2"),
     ("2 1 : " + ",".join(["0u"] * 20), "the zero form does not define a surface"),
+    ("2 1 : u^1025" + ",0" * 19, "u-exponent 1025 above 1024"),
 ])
 def test_cli_surface_malformed_line_is_one_line(line, message, tmp_path, capsys):
     src = tmp_path / "bad.txt"

@@ -88,6 +88,11 @@ def test_specialize_kills_coefficient_u_at_place_u():
     assert special.coeffs[0] == 0
 
 
+def test_function_field_cubic_needs_twenty_coefficients():
+    with pytest.raises(ValueError, match="exactly 20 coefficients"):
+        FunctionFieldCubic(F2, (UniPoly.from_ints(F2, [0, 1]),) * 19)
+
+
 def test_specialize_zero_form_is_bad_place():
     coeffs = [UniPoly.from_ints(F2, [0, 1])] * 20  # every coefficient is u
     form = FunctionFieldCubic(F2, tuple(coeffs))

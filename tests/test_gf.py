@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from delpezzo import gf
 from delpezzo.experiment import FunctionFieldCubic, _place_root, places_up_to
 from delpezzo.gf import (
     FieldSizeError,
@@ -433,6 +434,7 @@ def test_unipoly_gcd_and_irreducibility():
     assert UniPoly(f2, square) not in monic_irreducibles(f2, 4)
     assert ref_gcd(f2, square, u2u1) == u2u1
     assert ref_is_irreducible(f2, u2u1) and not ref_is_irreducible(f2, square)
+    assert not gf._prime_poly_irreducible([1], 2)  # a constant is no irreducible
 
 
 def test_is_prime():

@@ -3,12 +3,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from families import blocks, class_sum_triangles, orbit_partition
 
 from delpezzo.lattice import DegreeContext, exceptional_classes, pairing
 from delpezzo.permgroup import PermutationGroup
 from delpezzo.incidence import (
     _individualize,
     _Refiner,
+    _triangles,
     automorphism_group,
     double_sixes,
     find_isomorphism,
@@ -120,6 +122,7 @@ def test_find_isomorphism_on_tiny_graphs():
     path = graph(7).labels
     turned = path[np.ix_((2, 0, 1), (2, 0, 1))]
     assert find_isomorphism(path, turned) == (1, 2, 0)
+    assert find_isomorphism(path, -np.eye(4, dtype=np.int64)) is None
 
 
 def test_find_isomorphism_rejects_non_square_matrices():
@@ -331,7 +334,7 @@ def test_tritangent_triangles():
 
 def test_tritangent_rejects_disjoint_triples():
     g = graph(3)
-    tri = set(tritangent_triangles(g))
+    tri = set(map(tuple, tritangent_triangles(g).tolist()))
     # any pairwise-disjoint triple is certainly not tritangent
     found = None
     for a in range(27):
@@ -349,13 +352,40 @@ def test_tritangent_rejects_disjoint_triples():
     assert found is not None and found not in tri
 
 
+def test_tritangent_triangles_are_the_class_sums_of_minus_k():
+    g = graph(3)
+    assert tritangent_triangles(g).tolist() == [list(t) for t in class_sum_triangles(g)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_triangles_match_the_triple_search(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 30))
+    upper = np.triu(rng.random((n, n)) < rng.random(), 1)
+    adjacent = upper | upper.T
+    want = [list(t) for t in combinations(range(n), 3)
+            if all(adjacent[a, b] for a, b in combinations(t, 2))]
+    assert _triangles(adjacent).reshape(-1, 3).tolist() == want
+
+
+def test_family_arrays_are_read_only_int64():
+    g = graph(3)
+    shapes = {tritangent_triangles: (45, 3), double_sixes: (36, 2, 6),
+              trihedral_nines: (120, 9), triple_nines: (40, 3, 9)}
+    for family, shape in shapes.items():
+        lines = family(g)
+        assert lines.shape == shape and lines.dtype == np.int64
+        with pytest.raises(ValueError):
+            lines[0] = 0
+
+
 def test_double_sixes():
     g = graph(3)
     ds = double_sixes(g)
     assert len(ds) == 36
-    assert len({d.blocks for d in ds}) == 36
-    for d in ds:
-        rows = (d.first, d.second)
+    assert len({blocks(d) for d in ds}) == 36
+    for first, second in ds:
+        rows = (first, second)
         for row in rows:
             for i in range(6):
                 for j in range(i + 1, 6):
@@ -363,7 +393,7 @@ def test_double_sixes():
         for i in range(6):
             for j in range(6):
                 expected = 0 if i == j else 1
-                assert g.label(d.first[i], d.second[j]) == expected
+                assert g.label(first[i], second[j]) == expected
 
 
 def test_double_sixes_match_the_skew_sextuple_search():
@@ -408,7 +438,7 @@ def test_double_sixes_match_the_skew_sextuple_search():
             found[key] = (tuple(six[i] for i in order), tuple(partner[i] for i in order))
     want = sorted(found.values())
     assert len(want) == 36
-    assert [(d.first, d.second) for d in double_sixes(g)] == want
+    assert [tuple(map(tuple, d)) for d in double_sixes(g).tolist()] == want
 
 
 def test_trihedral_nines_and_triple_nines():
@@ -417,11 +447,11 @@ def test_trihedral_nines_and_triple_nines():
     assert len(nines) == 120
     tns = triple_nines(g)
     assert len(tns) == 40
-    for tn in tns[:5]:
-        all_lines = sorted(x for part in tn.parts for x in part)
+    for tn in tns[:5].tolist():
+        all_lines = sorted(x for part in tn for x in part)
         assert all_lines == list(range(27))
-        for part in tn.parts:
-            assert frozenset(part) in set(nines)
+        for part in tn:
+            assert part in nines.tolist()
 
 
 def test_trihedral_nines_match_partition_search():
@@ -456,30 +486,39 @@ def test_trihedral_nines_match_partition_search():
             ):
                 nines.add(a | b | c)
                 break
-    assert trihedral_nines(g) == tuple(sorted(nines, key=sorted))
+    assert trihedral_nines(g).tolist() == sorted(sorted(n) for n in nines)
 
 
 def test_aut_transitive_on_double_sixes_and_triple_nines():
     g = graph(3)
     w = weyl_image(DegreeContext(3))
-    ds_orbits = orbit_of_structures(w, [d.blocks for d in double_sixes(g)])
-    assert len(set(ds_orbits.values())) == 1
-    tn_orbits = orbit_of_structures(w, [t.blocks for t in triple_nines(g)])
-    assert len(set(tn_orbits.values())) == 1
+    ds_orbits = orbit_of_structures(w, double_sixes(g))
+    assert len(set(ds_orbits)) == 1
+    tn_orbits = orbit_of_structures(w, triple_nines(g))
+    assert len(set(tn_orbits)) == 1
+
+
+def test_orbit_of_structures_matches_the_frozenset_walk():
+    g = graph(3)
+    w = weyl_image(DegreeContext(3))
+    groups = [w, w.stabilizer_of_point(0), PermutationGroup(27, w.generators[:1]),
+              PermutationGroup(27, w.generators[:3])]
+    for family in (double_sixes(g), triple_nines(g), tritangent_triangles(g)[:, None]):
+        for group in groups:
+            assert orbit_of_structures(group, family) == orbit_partition(group, family)
+    assert len(set(orbit_partition(groups[2], double_sixes(g)))) > 1
 
 
 def test_orbit_of_structures_rejects_a_list_the_group_does_not_preserve():
     g = graph(3)
     w = weyl_image(DegreeContext(3))
-    sixes = [d.blocks for d in double_sixes(g)]
     with pytest.raises(ValueError, match="does not preserve"):
-        orbit_of_structures(w, sixes[1:])
+        orbit_of_structures(w, double_sixes(g)[1:])
 
 
 def test_orbit_of_structures_under_the_trivial_group():
-    sixes = [d.blocks for d in double_sixes(graph(3))]
-    ids = orbit_of_structures(PermutationGroup(27, []), sixes)
-    assert ids == {s: i for i, s in enumerate(sixes)}
+    ids = orbit_of_structures(PermutationGroup(27, []), double_sixes(graph(3)))
+    assert ids == list(range(36))
 
 
 def test_schlafli_enumerations_require_degree_three():

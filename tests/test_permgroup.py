@@ -61,6 +61,7 @@ def test_symmetric_group_orders():
         G = PermutationGroup(n, transpositions(n))
         assert G.order == math.factorial(n)
         assert G.is_transitive()
+        assert repr(G) == f"PermutationGroup(degree={n}, order={math.factorial(n)})"
 
 
 def test_malformed_generator_rejected():
@@ -68,6 +69,8 @@ def test_malformed_generator_rejected():
         PermutationGroup(3, [(0, 0, 1)])
     with pytest.raises(ValueError):
         PermutationGroup(3, [(0, 1)])
+    with pytest.raises(ValueError, match="base point 3 out of range"):
+        PermutationGroup(3, [], base_prefix=(3,))
 
 
 def test_against_naive_closure_on_random_groups():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -49,6 +50,8 @@ def test_monomial_order_is_graded_lex():
 def test_zero_form_rejected():
     with pytest.raises(ValueError):
         CubicForm.from_ints(F2, [0] * 20)
+    with pytest.raises(ValueError, match="exactly 20 coefficients"):
+        CubicForm.from_ints(F2, [1] * 19)
 
 
 def test_count_points_fermat_f2_is_a_plane():
@@ -154,6 +157,7 @@ def test_singular_point_detection():
     assert m == 1
     assert pt == (0, 0, 0, 1)
     assert singular_point(CubicForm.fermat(F7)) is None
+    assert singular_point(cone_f7(), budget=7**3 - 1) is None  # not even GF(7) fits
 
 
 def test_fermat_traces_over_f2():
@@ -251,6 +255,16 @@ def test_frobenius_class_refuses_certified_nonsmooth(monkeypatch):
             frobenius_class(form, table, point_budget=10**9, line_budget=10**8)
         assert smoothness_certificate(form).status == NOT_SMOOTH
     assert scans == []
+
+
+def test_frobenius_class_refuses_evidence_that_no_class_matches():
+    # every fixed-line count shifted by one: the 27 lines of the Fermat
+    # surface over GF(4) are the prediction of no class left
+    table = build_class_table()
+    shifted = dataclasses.replace(table, rows=tuple(
+        dataclasses.replace(row, fixed_lines=tuple(n + 1 for n in row.fixed_lines)) for row in table.rows))
+    with pytest.raises(NotSmoothOrBadReduction, match="no conjugacy class matches the evidence"):
+        frobenius_class(CubicForm.fermat(field(2, 2)), shifted, point_budget=10**6, line_budget=10**6)
 
 
 def test_identity_class_surfaces_have_trace_seven():

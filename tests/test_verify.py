@@ -22,6 +22,22 @@ def test_stabilizer_chain(d):
     assert all(c.ok for c in checks), [c.to_json() for c in checks if not c.ok]
 
 
+@pytest.mark.parametrize("broken", ["labels", "domain"])
+def test_stabilizer_chain_reports_a_failed_transport(broken, monkeypatch):
+    from delpezzo import verify
+    from delpezzo.permgroup import PermutationGroup
+
+    if broken == "labels":
+        monkeypatch.setattr(verify, "maps_labels", lambda *args: False)
+    else:  # the whole group for the stabilizer: a generator moves E_6 and leaves the domain
+        monkeypatch.setattr(PermutationGroup, "stabilizer_of_point", lambda self, point: self)
+    checks = {c.claim: c for c in stabilizer_chain_check(3)}
+    assert not checks["stabilizer transports to degree-4 automorphisms"].ok
+    assert checks["stabilizer transports to degree-4 automorphisms"].computed is False
+    assert not any("transported group order" in claim or "injective" in claim for claim in checks)
+    assert len(checks) == 4
+
+
 def test_stabilizer_chain_rejects_degree_seven():
     with pytest.raises(ValueError):
         stabilizer_chain_check(7)
